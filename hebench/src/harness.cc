@@ -49,9 +49,16 @@ Precision::add(const std::vector<std::complex<double>> &got,
     }
     require(std::isfinite(worst) && worst > 0.0,
             "precision: slot error is not a positive finite number");
-    meanBits = std::min(meanBits,
-                        -std::log2(sum / static_cast<double>(got.size())));
-    worstBits = std::min(worstBits, -std::log2(worst));
+    const double mean_bits =
+        -std::log2(sum / static_cast<double>(got.size()));
+    const double worst_bits = -std::log2(worst);
+    require(mean_bits >= kMinMeanBits && worst_bits >= kMinWorstBits,
+            "precision: decrypted slots are " + std::to_string(mean_bits) +
+                " bits (mean) / " + std::to_string(worst_bits) +
+                " bits (worst slot) from the float64 reference, under the "
+                "floor");
+    meanBits = std::min(meanBits, mean_bits);
+    worstBits = std::min(worstBits, worst_bits);
 }
 
 namespace {
@@ -125,13 +132,10 @@ butterflySeconds()
     return t;
 }
 
-/** Pin every thread of the process to @p cpu. */
+/** Set the affinity of every thread of the process to @p set. */
 bool
-pinAllTo(int cpu)
+setAllAffinity(const cpu_set_t &set)
 {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
     DIR *dir = opendir("/proc/self/task");
     if (!dir)
         return false;
@@ -145,20 +149,43 @@ pinAllTo(int cpu)
     return ok;
 }
 
+bool
+pinAllTo(int cpu)
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    return setAllAffinity(set);
+}
+
 cpu_set_t g_allowed;
 bool g_haveAllowed = false;
 
+/** Record the affinity the process started with, once. */
+bool
+haveAllowed()
+{
+    if (!g_haveAllowed) {
+        CPU_ZERO(&g_allowed);
+        g_haveAllowed = sched_getaffinity(0, sizeof g_allowed, &g_allowed) == 0;
+    }
+    return g_haveAllowed;
+}
+
 } // namespace
+
+void
+unpinAll()
+{
+    if (haveAllowed())
+        (void)setAllAffinity(g_allowed);
+}
 
 int
 repinToFastestCpu()
 {
-    if (!g_haveAllowed) {
-        CPU_ZERO(&g_allowed);
-        if (sched_getaffinity(0, sizeof g_allowed, &g_allowed) != 0)
-            return -1;
-        g_haveAllowed = true;
-    }
+    if (!haveAllowed())
+        return -1;
     int best = -1;
     double best_s = 0.0;
     for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {

@@ -12,14 +12,27 @@
 #include <string>
 #include <vector>
 
+#include "ckks/ciphertext.h"
+
 namespace hebench {
 
 using Clock = std::chrono::steady_clock;
+
+/** CKKS encoding scale of every input in both phases. */
+constexpr double kScale = static_cast<double>(1ULL << 26);
 
 inline double
 secondsBetween(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
+}
+
+/** Bit-for-bit equality, the form every correctness check uses. */
+inline bool
+sameCiphertext(const cross::ckks::Ciphertext &a,
+               const cross::ckks::Ciphertext &b)
+{
+    return a.scale == b.scale && a.c0 == b.c0 && a.c1 == b.c1;
 }
 
 /** Command-line options of one run. */
@@ -75,15 +88,41 @@ median(std::vector<double> v)
     return quantile(std::move(v), 0.5);
 }
 
+/** Median wall seconds of @p reps calls of @p fn. */
+template <typename Fn>
+double
+medianSeconds(int reps, Fn &&fn)
+{
+    std::vector<double> s;
+    s.reserve(reps);
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = Clock::now();
+        fn();
+        s.push_back(secondsBetween(t0, Clock::now()));
+    }
+    return median(std::move(s));
+}
+
 /**
  * Precision of decoded CKKS slots against float64 reference values,
  * accumulated over the checked outputs. Per output, the mean slot
  * error gives its average precision and the largest slot error its
  * worst-slot precision; each field keeps the minimum over outputs.
  * @p want is real-valued: every slot's imaginary part is expected 0.
+ *
+ * An output below either floor fails the run. Bit-identity with the
+ * evaluator reference cannot catch a defect the served path and the
+ * reference share (a wrong rotation direction, a bad rescale); the
+ * float64 reference can. The mean floor sits 3 bits under the
+ * precision every seed measured (README.md). The worst slot is
+ * heavy-tailed, so its floor only asks that no slot be off by the
+ * size of the inputs (1).
  */
 struct Precision
 {
+    static constexpr double kMinMeanBits = 7.0;
+    static constexpr double kMinWorstBits = 0.0;
+
     double meanBits = 1e9;  ///< precision_bits: min of -log2(mean error)
     double worstBits = 1e9; ///< min of -log2(largest slot error)
 
@@ -107,6 +146,10 @@ double setUpRunContext(const Options &opts, unsigned pool_threads);
  * quiescent point. Returns the CPU, or -1 when affinity is unavailable.
  */
 int repinToFastestCpu();
+
+/** Undo repinToFastestCpu: let every thread run on any CPU of the
+ *  originally allowed set again. */
+void unpinAll();
 
 /**
  * The kernel probes of every traced run: poly NTT/INTT at N = 2^12

@@ -23,20 +23,6 @@ using namespace cross;
 
 namespace {
 
-template <typename Fn>
-double
-medianSeconds(int reps, Fn &&fn)
-{
-    std::vector<double> s;
-    s.reserve(reps);
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = Clock::now();
-        fn();
-        s.push_back(secondsBetween(t0, Clock::now()));
-    }
-    return median(std::move(s));
-}
-
 u64
 nttPrime(u32 n)
 {
@@ -61,6 +47,8 @@ probeNtt(RunResult &out, u32 n, Rng &rng)
     p.toCoeff();
     require(p == orig, "poly: INTT(NTT(a)) != a");
 
+    // Round trips: an RnsPoly is tagged with its domain, so the
+    // transforms alternate.
     std::vector<double> fwd, inv;
     for (int r = 0; r < 200; ++r) {
         auto t0 = Clock::now();

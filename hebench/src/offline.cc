@@ -9,7 +9,10 @@
  */
 #include "offline.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <thread>
 
 #include "bfv/bfv.h"
 #include "ckks/batch_evaluator.h"
@@ -18,6 +21,7 @@
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keys.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "cross/cross_ntt.h"
 #include "nt/primes.h"
@@ -30,13 +34,16 @@ using namespace cross::ckks;
 
 namespace {
 
-constexpr double kScale = static_cast<double>(1ULL << 26);
 constexpr size_t kBatch = 16;
 constexpr u32 kCrossN = 1u << 14;
 constexpr u32 kCrossRows = 128;
-/** Repetitions per round of the short operations; the batch, the
- *  bootstrap and the BFV multiply run once per round. */
-constexpr int kShortReps = 8;
+/** Repetitions of the short operations before each of the three long
+ *  ones (batch, bootstrap, BFV multiply), which run once per round. */
+constexpr int kShortReps = 3;
+/** CROSS NTTs per short repetition. The CROSS NTT is the cheapest
+ *  operation and the one the host's cache contention moves most, so it
+ *  gets more samples. */
+constexpr int kCrossPerShort = 3;
 
 /** Reduced bootstrap schedule that fits the Set C chain (15 limbs). */
 BootstrapConfig
@@ -52,18 +59,12 @@ bootConfig()
 }
 
 bool
-same(const Ciphertext &a, const Ciphertext &b)
-{
-    return a.scale == b.scale && a.c0 == b.c0 && a.c1 == b.c1;
-}
-
-bool
-same(const CtVec &a, const CtVec &b)
+sameCiphertexts(const CtVec &a, const CtVec &b)
 {
     if (a.size() != b.size())
         return false;
     for (size_t i = 0; i < a.size(); ++i)
-        if (!same(a[i], b[i]))
+        if (!sameCiphertext(a[i], b[i]))
             return false;
     return true;
 }
@@ -151,8 +152,11 @@ struct OfflinePhase::State
 
     /** @name Timed rounds (run()). @{ */
     std::vector<double> mult, rotate, batch, bootstrap, bfv, crossNtt;
+    /** Traced runs: the repetitions through the logged evaluator. */
+    std::vector<double> multLogged, rotateLogged;
     KernelLog opLog, bootLog, bfvLog;
-    double overheadFrac = 0.0, modupMs = 0.0, innerMs = 0.0;
+    double modupMs = 0.0, innerMs = 0.0;
+    double parallelMs[2] = {0.0, 0.0}; ///< at 1 and at nproc threads
     /** @} */
 };
 
@@ -277,61 +281,93 @@ OfflinePhase::run(double seconds, bool trace)
 {
     State &s = *s_;
     const CkksContext &ctx = *s.ctx;
-    const CkksEvaluator ev(ctx, trace ? &s.opLog : nullptr);
+    const CkksEvaluator plain(ctx);
+    const CkksEvaluator logged(ctx, &s.opLog);
     const BatchEvaluator batch(ctx);
     const BatchEvaluator boot_batch(ctx, trace ? &s.bootLog : nullptr);
     const bfv::BfvEvaluator bev(*s.bctx, trace ? &s.bfvLog : nullptr);
     const size_t top = ctx.qCount() - 1;
     const KeySwitchPrecomp &relin_pre =
-        ev.precomputeKeySwitchCached(s.relin, top);
-    const KeySwitchPrecomp &rot_pre = ev.precomputeKeySwitchCached(s.rot, top);
+        plain.precomputeKeySwitchCached(s.relin, top);
+    const KeySwitchPrecomp &rot_pre =
+        plain.precomputeKeySwitchCached(s.rot, top);
 
-    // Rounds of every operation until the time is spent, so each
-    // operation samples the whole phase rather than one stretch of it.
-    const auto start = Clock::now();
-    do {
-        repinToFastestCpu();
-        for (int r = 0; r < kShortReps; ++r) {
-            timeOnce(
-                s.mult,
-                [&] { return ev.multiply(s.in[0], s.in[1], relin_pre); },
-                [&](const Ciphertext &c) {
-                    require(same(c, s.refMult),
-                            "offline: Mult & Relin differs from the "
-                            "SwitchKey reference");
-                });
-            timeOnce(
-                s.rotate, [&] { return ev.rotate(s.in[0], s.rot1, rot_pre); },
-                [&](const Ciphertext &c) {
-                    require(same(c, s.refRot), "offline: Rotate differs from "
-                                               "the SwitchKey reference");
-                });
+    // A traced run alternates Mult & Relin and Rotate repetitions
+    // between the logged and the plain evaluator: the logged ones feed
+    // the kernel attribution, and the gap between the two is the
+    // tracing overhead.
+    int short_reps = 0;
+    auto run_short = [&] {
+        const bool log = trace && short_reps++ % 2 == 1;
+        const CkksEvaluator &ev = log ? logged : plain;
+        timeOnce(
+            log ? s.multLogged : s.mult,
+            [&] { return ev.multiply(s.in[0], s.in[1], relin_pre); },
+            [&](const Ciphertext &c) {
+                require(sameCiphertext(c, s.refMult),
+                        "offline: Mult & Relin differs from the SwitchKey "
+                        "reference");
+            });
+        timeOnce(
+            log ? s.rotateLogged : s.rotate,
+            [&] { return ev.rotate(s.in[0], s.rot1, rot_pre); },
+            [&](const Ciphertext &c) {
+                require(sameCiphertext(c, s.refRot),
+                        "offline: Rotate differs from the SwitchKey "
+                        "reference");
+            });
+        for (int r = 0; r < kCrossPerShort; ++r)
             timeOnce(
                 s.crossNtt, [&] { return s.plan->forward(s.nttIn); },
                 [&](const std::vector<u32> &c) {
                     require(c == s.refNtt, "offline: CROSS NTT differs from "
                                            "the radix-2 reference");
                 });
+    };
+    const std::function<void()> run_long[3] = {
+        [&] {
+            timeOnce(
+                s.batch, [&] { return batch.run(s.in, s.pipe); },
+                [&](const CtVec &c) {
+                    require(sameCiphertexts(c, s.refBatch),
+                            "offline: fused batch differs from the "
+                            "sequential loop");
+                });
+        },
+        [&] {
+            timeOnce(
+                s.bootstrap, [&] { return s.boot->run(boot_batch); },
+                [&](const CtVec &c) {
+                    require(sameCiphertexts(c, s.refBoot),
+                            "offline: fused bootstrap differs from "
+                            "runSequential");
+                });
+        },
+        [&] {
+            timeOnce(
+                s.bfv, [&] { return bev.multiply(s.bca, s.bcb, s.brlk); },
+                [&](const bfv::BfvCiphertext &c) {
+                    require(c.c0 == s.refBfv.c0 && c.c1 == s.refBfv.c1,
+                            "offline: BFV Mult & Relin differs from the "
+                            "reference");
+                });
+        },
+    };
+
+    // Rounds of every operation until the time is spent, so each
+    // operation samples the whole phase rather than one stretch of it;
+    // within a round the short operations run between the long ones.
+    // The fastest CPU changes from second to second, so it is chosen
+    // again before every block.
+    const auto start = Clock::now();
+    do {
+        for (const auto &long_op : run_long) {
+            repinToFastestCpu();
+            for (int r = 0; r < kShortReps; ++r)
+                run_short();
+            repinToFastestCpu();
+            long_op();
         }
-        timeOnce(
-            s.batch, [&] { return batch.run(s.in, s.pipe); },
-            [&](const CtVec &c) {
-                require(same(c, s.refBatch), "offline: fused batch differs "
-                                             "from the sequential loop");
-            });
-        timeOnce(
-            s.bootstrap, [&] { return s.boot->run(boot_batch); },
-            [&](const CtVec &c) {
-                require(same(c, s.refBoot), "offline: fused bootstrap "
-                                            "differs from runSequential");
-            });
-        timeOnce(
-            s.bfv, [&] { return bev.multiply(s.bca, s.bcb, s.brlk); },
-            [&](const bfv::BfvCiphertext &c) {
-                require(c.c0 == s.refBfv.c0 && c.c1 == s.refBfv.c1,
-                        "offline: BFV Mult & Relin differs from the "
-                        "reference");
-            });
     } while (secondsBetween(start, Clock::now()) < seconds);
     std::printf("offline: %zu rounds in %.1f s  (Set C Mult & Relin %.1f ms, "
                 "bootstrap %.0f ms)\n",
@@ -340,45 +376,53 @@ OfflinePhase::run(double seconds, bool trace)
     if (!trace)
         return;
 
-    // Tracing cost: Mult & Relin with and without a KernelLog.
-    const CkksEvaluator plain(ctx);
-    std::vector<double> with, without;
-    for (int r = 0; r < 7; ++r) {
-        KernelLog l;
-        const CkksEvaluator logged(ctx, &l);
-        auto t0 = Clock::now();
-        (void)plain.multiply(s.in[0], s.in[1], relin_pre);
-        auto t1 = Clock::now();
-        (void)logged.multiply(s.in[0], s.in[1], relin_pre);
-        auto t2 = Clock::now();
-        without.push_back(secondsBetween(t0, t1));
-        with.push_back(secondsBetween(t1, t2));
-    }
-    s.overheadFrac = median(with) / median(without) - 1.0;
-
     // Key-switch phases of one Set C rotation at the top level.
-    std::vector<double> modup, inner;
+    HoistedDecomp dec;
+    s.modupMs = medianSeconds(15, [&] {
+                    dec = plain.hoistedModUp(s.in[0].c1);
+                }) * 1e3;
     Ciphertext rotated;
-    for (int r = 0; r < 15; ++r) {
-        auto t0 = Clock::now();
-        const HoistedDecomp dec = plain.hoistedModUp(s.in[0].c1);
-        auto t1 = Clock::now();
-        rotated = plain.applyHoistedRotation(s.in[0], dec, s.rot1, rot_pre);
-        auto t2 = Clock::now();
-        modup.push_back(secondsBetween(t0, t1));
-        inner.push_back(secondsBetween(t1, t2));
-    }
-    require(same(rotated, s.refRot),
+    s.innerMs = medianSeconds(15, [&] {
+                    rotated = plain.applyHoistedRotation(s.in[0], dec,
+                                                         s.rot1, rot_pre);
+                }) * 1e3;
+    require(sameCiphertext(rotated, s.refRot),
             "offline: hoisted rotation differs from the reference");
-    s.modupMs = median(modup) * 1e3;
-    s.innerMs = median(inner) * 1e3;
+
+    // common.parallel: the same Mult & Relin on the pool at one thread
+    // and at nproc threads, interleaved. Every other measurement runs
+    // at one pool thread on one pinned CPU, so the pool and the 2-D
+    // tiling are timed here only, with the pinning lifted.
+    const u32 threads_before = globalThreadCount();
+    const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+    unpinAll();
+    std::vector<double> t1, tn;
+    for (int r = 0; r < 5; ++r) {
+        for (const u32 n : {1u, hw}) {
+            setGlobalThreadCount(n);
+            const auto t0 = Clock::now();
+            const Ciphertext c = plain.multiply(s.in[0], s.in[1], relin_pre);
+            (n == 1 ? t1 : tn).push_back(secondsBetween(t0, Clock::now()));
+            require(sameCiphertext(c, s.refMult),
+                    "offline: Mult & Relin at " + std::to_string(n) +
+                        " threads differs from the reference");
+        }
+    }
+    setGlobalThreadCount(threads_before);
+    repinToFastestCpu();
+    s.parallelMs[0] = median(t1) * 1e3;
+    s.parallelMs[1] = median(tn) * 1e3;
+    std::printf("parallel: Set C Mult & Relin %.1f ms at 1 thread, %.1f ms "
+                "at %u threads\n",
+                s.parallelMs[0], s.parallelMs[1], hw);
 }
 
 std::uint64_t
 OfflinePhase::attempted() const
 {
     const State &s = *s_;
-    return s.mult.size() + s.rotate.size() + s.batch.size() * kBatch +
+    return s.mult.size() + s.multLogged.size() + s.rotate.size() +
+           s.rotateLogged.size() + s.batch.size() * kBatch +
            s.bootstrap.size() + s.bfv.size() + s.crossNtt.size();
 }
 
@@ -398,12 +442,15 @@ void
 OfflinePhase::addPerLayer(RunResult &out) const
 {
     const State &s = *s_;
-    // Kernel seconds per HE op over the Mult & Relin and Rotate reps.
+    // Kernel seconds per HE op over the logged Mult & Relin and Rotate
+    // repetitions.
     addKernelSeconds(out, s.opLog,
-                     1.0 / static_cast<double>(s.mult.size() +
-                                               s.rotate.size()));
+                     1.0 / static_cast<double>(s.multLogged.size() +
+                                               s.rotateLogged.size()));
     out.add("ckks.kernel_coverage",
-            s.opLog.totalSeconds() / (sum(s.mult) + sum(s.rotate)), "ratio");
+            s.opLog.totalSeconds() /
+                (sum(s.multLogged) + sum(s.rotateLogged)),
+            "ratio");
     out.add("ckks.keyswitch.modup_ms", s.modupMs, "ms");
     out.add("ckks.keyswitch.inner_ms", s.innerMs, "ms");
     out.add("ckks.hoisted_saves",
@@ -420,7 +467,15 @@ OfflinePhase::addPerLayer(RunResult &out) const
         if (c.kind == KernelKind::BConv && c.limbsOut == scaled_limbs)
             scale_down += c.seconds;
     out.add("bfv.scale_down_frac", scale_down / sum(s.bfv), "ratio");
-    out.add("trace.overhead_frac", s.overheadFrac, "ratio");
+    out.add("trace.overhead_frac",
+            (median(s.multLogged) + median(s.rotateLogged)) /
+                    (median(s.mult) + median(s.rotate)) -
+                1.0,
+            "ratio");
+    out.add("common.parallel.mult_relin_ms.t1", s.parallelMs[0], "ms");
+    out.add("common.parallel.mult_relin_ms.nproc", s.parallelMs[1], "ms");
+    out.add("common.parallel.speedup", s.parallelMs[0] / s.parallelMs[1],
+            "ratio");
 }
 
 } // namespace hebench

@@ -34,11 +34,14 @@ class OfflinePhase
     void prepare(Precision &prec);
 
     /**
-     * Timed rounds until @p seconds are spent: 8 x Mult & Relin,
-     * Rotate and CROSS NTT, then one 16-item fused batch, one Hoisted
-     * bootstrap and one BFV Mult & Relin. Every repetition is checked
-     * against its reference. With @p trace the CKKS and BFV evaluators
-     * carry a KernelLog.
+     * Timed rounds until @p seconds are spent. A round runs one
+     * 16-item fused batch, one Hoisted bootstrap and one BFV Mult &
+     * Relin, each after 3 repetitions of Mult & Relin, Rotate and
+     * 3 x CROSS NTT. Every repetition is checked against its
+     * reference. With @p trace every other Mult & Relin and Rotate,
+     * the bootstrap and the BFV multiply carry a KernelLog, and the
+     * key-switch phases and the thread pool are timed after the
+     * rounds.
      */
     void run(double seconds, bool trace);
 
@@ -46,7 +49,8 @@ class OfflinePhase
     /** mult_relin_per_s ... cross_ntt_per_s. */
     void addEndToEnd(RunResult &out) const;
     /** Kernel attribution, key-switch phases, hoisting, the CROSS NTT,
-     *  the BFV scale-down share and the tracing overhead. */
+     *  the BFV scale-down share, the tracing overhead and the thread
+     *  pool. */
     void addPerLayer(RunResult &out) const;
 
   private:

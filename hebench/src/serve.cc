@@ -57,7 +57,6 @@ using namespace cross::ckks;
 
 namespace {
 
-constexpr double kScale = static_cast<double>(1ULL << 26);
 constexpr size_t kDim = 8;       ///< dense layer dimension
 constexpr size_t kReplicate = 2; ///< copies of x packed for rotations
 constexpr unsigned kPoolThreads = 1;
@@ -65,19 +64,41 @@ constexpr int kSetupReps = 3;
 /** Share of --seconds given to the serving phase; the offline phase
  *  gets the rest. */
 constexpr double kServingShare = 0.6;
-/** Wall-clock microseconds per cost-model microsecond for deadline
- *  admission: a fixed constant, so admission does not follow the
- *  speed of the code under test. */
-constexpr double kCostScale = 15.0;
-
-/** Latency limit of goodput_rps.over and ok_frac.high. */
-constexpr double kLimitMs = 200.0;
-/** Deadline carried by every other request. */
-constexpr double kDeadlineMs = 50.0;
-constexpr size_t kQueueDepth = 24;
 constexpr size_t kMaxBatch = 16;
-/** Share of requests that go to the dense-layer model. */
-constexpr double kDenseShare = 0.2;
+
+/**
+ * @name Traffic constants.
+ * Derived in README.md ("Where the serving constants come from") from
+ * figures measured at the seed commit on the development host, which
+ * the traced run prints again in its `calibration` line. They are
+ * fixed, so that faster code faces the same traffic and admission.
+ * @{
+ */
+/** Sequential service time of one request of each model. */
+constexpr double kSeedPipeMs = 2.0;
+constexpr double kSeedDenseMs = 11.7;
+/** Share of requests that go to the dense-layer model: each submit
+ *  path (Pipeline, CompiledGraph) gets half of the service time. */
+constexpr double kDenseShare = kSeedPipeMs / (kSeedPipeMs + kSeedDenseMs);
+/** Mean sequential service time of one request of the mix. */
+constexpr double kSeedMeanMs =
+    (1.0 - kDenseShare) * kSeedPipeMs + kDenseShare * kSeedDenseMs;
+/** Latency limit of goodput_rps.over and ok_frac.high: about four
+ *  times the p99 latency at `low`. */
+constexpr double kLimitMs = 200.0;
+/** Deadline of every other request: the client gives up at the limit,
+ *  so shedding removes only requests that would miss it anyway. */
+constexpr double kDeadlineMs = kLimitMs;
+/** A request admitted behind a full queue still finishes within the
+ *  limit at half the sequential service rate: the margin for the
+ *  shared host's slow stretches. */
+constexpr size_t kQueueDepth =
+    static_cast<size_t>(kLimitMs / (2.0 * kSeedMeanMs));
+/** Offered requests per second at low, high and over, the same for
+ *  both workloads: about 30%, 50% and 200% of the 320 req/s the
+ *  `serve` engine completed at saturation. */
+constexpr double kRps[3] = {95.0, 160.0, 640.0};
+/** @} */
 
 enum Model : int
 {
@@ -94,11 +115,9 @@ enum Point : int
 
 constexpr const char *kPointName[3] = {"low", "high", "over"};
 /** Share of the serving phase each rate point gets. */
-constexpr double kPointShare[3] = {0.45, 0.4, 0.15};
+constexpr double kPointShare[3] = {0.4, 0.3, 0.3};
 
-/** A serving workload. The rates are fixed absolute values, set
- *  against the capacity measured for the workload when the benchmark
- *  was defined (README.md). */
+/** A serving workload: who owns keys, and the key-cache budget. */
 struct ServeSpec
 {
     const char *name;
@@ -107,16 +126,13 @@ struct ServeSpec
     bool keysPerTenant;
     /** Distinct encrypted inputs per (key set, model). */
     size_t poolPerModel;
-    /** Offered requests per second at low, high and over. */
-    double rps[3];
     /** KeySwitchCache budget as a share of the union of the tenants'
      *  key working sets; 0 leaves the cache unbounded. */
     double cacheBudgetShare;
 };
 
-const ServeSpec kServe = {"serve", 3, false, 16, {60.0, 120.0, 300.0}, 0.0};
-const ServeSpec kChurn = {"serve-churn", 6, true, 6, {50.0, 105.0, 260.0},
-                          0.5};
+const ServeSpec kServe = {"serve", 3, false, 16, 0.0};
+const ServeSpec kChurn = {"serve-churn", 6, true, 6, 0.5};
 
 u32
 weightOf(size_t tenant)
@@ -293,6 +309,34 @@ denseReference(const CkksContext &ctx, const CkksEncoder &encoder,
     return ev.rescale(ev.multiply(acc, acc, ks.relin));
 }
 
+/** Cost-model microseconds of one request of each model, as deadline
+ *  admission prices it: the pipeline at the input level, the compiled
+ *  graph at its chosen schedule. */
+std::array<double, 2>
+modelUs(const ServeSetup &s)
+{
+    const KeySet &ks = *s.keys[0];
+    const graph::CompiledGraph &dense = *ks.dense;
+    return {s.cost->pipelineLatencyUs(ks.pipe.pipelineOps(),
+                                      s.ctx->qCount() - 1, 1),
+            dense.schedule() == graph::ScheduleKind::PerOp ? dense.perOpCostUs()
+            : dense.schedule() == graph::ScheduleKind::Hoisted
+                ? dense.hoistedCostUs()
+                : dense.fusedCostUs()};
+}
+
+/** Wall-clock microseconds per cost-model microsecond for deadline
+ *  admission: the seed commit's sequential time of the mix over the
+ *  cost model's estimate of it. It does not follow the speed of the
+ *  code under test. */
+double
+costScale(const ServeSetup &s)
+{
+    const auto m = modelUs(s);
+    return kSeedMeanMs * 1e3 /
+           ((1.0 - kDenseShare) * m[kPipe] + kDenseShare * m[kDense]);
+}
+
 void
 computeReferences(ServeSetup &s)
 {
@@ -307,12 +351,6 @@ computeReferences(ServeSetup &s)
             ks->ref[kDense].push_back(
                 denseReference(ctx, *s.encoder, *ks, ct));
     }
-}
-
-bool
-sameCiphertext(const Ciphertext &a, const Ciphertext &b)
-{
-    return a.scale == b.scale && a.c0 == b.c0 && a.c1 == b.c1;
 }
 
 /** Precision of every reference output (bit-identical to every served
@@ -483,7 +521,7 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
     cfg.maxBatch = kMaxBatch;
     cfg.dispatchers = 1;
     cfg.costModel = s.cost.get();
-    cfg.costScale = kCostScale;
+    cfg.costScale = costScale(s);
     serving::ServingEngine engine(*s.ctx, cfg);
     std::vector<serving::ServingEngine::Stream> streams;
     for (size_t t = 0; t < spec.tenants; ++t)
@@ -569,13 +607,13 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
     });
 
     for (int cycle = 0; cycle < kCycles; ++cycle) {
-        // Quiescent here: follow the least loaded CPU of the host.
-        repinToFastestCpu();
         for (const Point pt : {kLow, kHigh, kOver}) {
+            // Quiescent here: follow the least loaded CPU of the host.
+            repinToFastestCpu();
             PointResult &r = res[pt];
             const double dur = seconds * kPointShare[pt] / kCycles;
             r.windowS += dur;
-            const auto schedule = makeSchedule(spec, spec.rps[pt], dur, rng);
+            const auto schedule = makeSchedule(spec, kRps[pt], dur, rng);
             const auto before = engine.stats();
             const auto tenants_before = engine.tenantStats();
 
@@ -666,7 +704,7 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
                     "done %5llu  in-limit %5llu  queue-full %4llu  "
                     "deadline-rej %4llu  shed %4llu  failed %llu  "
                     "p50 %.2f ms  p99 %.2f ms  batch %.2f\n",
-                    kPointName[pt], spec.rps[pt], r.windowS,
+                    kPointName[pt], kRps[pt], r.windowS,
                     static_cast<unsigned long long>(r.sent),
                     static_cast<unsigned long long>(r.completed),
                     static_cast<unsigned long long>(r.withinLimit),
@@ -735,18 +773,41 @@ addRequestProbes(RunResult &out, const ServeSetup &s, double high_batch_mean,
         din.push_back(ks.in[kDense][i % ks.in[kDense].size()]);
     }
     const BatchEvaluator plain(ctx);
-    std::vector<double> tp, td;
-    for (int r = 0; r < 5; ++r) {
-        auto t0 = Clock::now();
-        (void)plain.run(pin, ks.pipe);
-        auto t1 = Clock::now();
-        (void)ks.dense->run(plain, {din});
-        auto t2 = Clock::now();
-        tp.push_back(secondsBetween(t0, t1));
-        td.push_back(secondsBetween(t1, t2));
-    }
-    const double exec_ms = ((1.0 - g) * median(tp) + g * median(td)) * 1e3;
+    const double tp = medianSeconds(5, [&] { (void)plain.run(pin, ks.pipe); });
+    const double td =
+        medianSeconds(5, [&] { (void)ks.dense->run(plain, {din}); });
+    const double exec_ms = ((1.0 - g) * tp + g * td) * 1e3;
     out.add("serving.wait_ms_p50", high_p50_ms - exec_ms, "ms");
+}
+
+/**
+ * Traced-only log of the figures the serving constants are derived
+ * from (README.md): the sequential service time of one request of each
+ * model, a one-item batch as the engine runs it at `low`, and the
+ * cost-model estimate deadline admission prices it at.
+ */
+void
+printCalibration(const ServeSetup &s)
+{
+    const CkksContext &ctx = *s.ctx;
+    const KeySet &ks = *s.keys[0];
+    const BatchEvaluator batch(ctx);
+    const double pipe_ms =
+        medianSeconds(15, [&] { (void)batch.run({ks.in[kPipe][0]}, ks.pipe); }) *
+        1e3;
+    const double dense_ms =
+        medianSeconds(9, [&] {
+            (void)ks.dense->run(batch, {{ks.in[kDense][0]}});
+        }) * 1e3;
+    const auto m = modelUs(s);
+    const double g = kDenseShare;
+    std::printf("calibration: sequential pipe %.3f ms, dense %.3f ms; "
+                "cost model pipe %.3f us, dense %.3f us; wall/model of "
+                "the mix %.1f (admission uses %.1f)\n",
+                pipe_ms, dense_ms, m[kPipe], m[kDense],
+                ((1.0 - g) * pipe_ms + g * dense_ms) * 1e3 /
+                    ((1.0 - g) * m[kPipe] + g * m[kDense]),
+                costScale(s));
 }
 
 /**
@@ -784,6 +845,10 @@ runServing(const Options &opts, const ServeSpec &spec)
     computeReferences(*s);
     Precision precision = referencePrecision(*s);
     offline->prepare(precision);
+    std::printf("precision: %.2f bits mean, %.2f bits worst slot (floors "
+                "%.0f and %.0f)\n",
+                precision.meanBits, precision.worstBits,
+                Precision::kMinMeanBits, Precision::kMinWorstBits);
 
     cache.resetStats();
     Rng rng(opts.seed * 7919 + 3);
@@ -858,6 +923,7 @@ runServing(const Options &opts, const ServeSpec &spec)
             static_cast<double>(cache.residentBytes()) / (1 << 20), "MiB");
     out.add("ckks.graph.compile_ms", median(compile_ms), "ms");
     out.add("ckks.precision_worst_slot_bits", precision.worstBits, "bits");
+    printCalibration(*s);
     addRequestProbes(out, *s, high.batchMean(),
                      quantile(high.latMs, 0.5));
     offline->addPerLayer(out);
