@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,34 +105,6 @@ effectiveCores(unsigned threads)
     return static_cast<double>(threads) * median(one) / median(many);
 }
 
-/** A fixed NTT-shaped butterfly sweep written here, so the CPU choice
- *  does not depend on the library code under test. */
-double
-butterflySeconds()
-{
-    constexpr std::uint32_t kQ = 268369921; // 28-bit NTT-friendly prime
-    std::vector<std::uint32_t> a(1 << 12), w(1 << 12);
-    for (size_t i = 0; i < a.size(); ++i) {
-        a[i] = static_cast<std::uint32_t>(i * 7919 % kQ);
-        w[i] = static_cast<std::uint32_t>((i * 104729 + 3) % kQ);
-    }
-    const auto t0 = Clock::now();
-    for (int rep = 0; rep < 8; ++rep)
-        for (size_t len = a.size() / 2; len >= 1; len /= 2)
-            for (size_t s = 0; s < a.size(); s += 2 * len)
-                for (size_t j = 0; j < len; ++j) {
-                    const std::uint64_t u = a[s + j];
-                    const std::uint64_t v =
-                        std::uint64_t{a[s + j + len]} * w[len + j] % kQ;
-                    a[s + j] = static_cast<std::uint32_t>((u + v) % kQ);
-                    a[s + j + len] =
-                        static_cast<std::uint32_t>((u + kQ - v) % kQ);
-                }
-    const double t = secondsBetween(t0, Clock::now());
-    asm volatile("" : : "r"(a.data()) : "memory");
-    return t;
-}
-
 /** Set the affinity of every thread of the process to @p set. */
 bool
 setAllAffinity(const cpu_set_t &set)
@@ -174,6 +147,66 @@ haveAllowed()
 
 } // namespace
 
+namespace {
+
+double
+refKernelOnce()
+{
+    constexpr std::uint32_t kQ = 268369921; // 28-bit NTT-friendly prime
+    constexpr size_t kN = 1 << 14, kLimbs = 4;
+    static const auto tables = [] {
+        std::array<std::vector<std::uint32_t>, 2> t; // w, floor(w 2^32 / q)
+        for (size_t i = 0; i < kN; ++i) {
+            const auto w = static_cast<std::uint32_t>((i * 104729 + 3) % kQ);
+            t[0].push_back(w);
+            t[1].push_back(static_cast<std::uint32_t>(
+                (std::uint64_t{w} << 32) / kQ));
+        }
+        return t;
+    }();
+    thread_local std::vector<std::uint32_t> a;
+    a.resize(kN * kLimbs);
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] = static_cast<std::uint32_t>(i * 7919 % kQ);
+
+    const auto t0 = Clock::now();
+    for (size_t l = 0; l < kLimbs; ++l) {
+        std::uint32_t *x = a.data() + l * kN;
+        for (size_t len = kN / 2; len >= 1; len /= 2)
+            for (size_t s = 0; s < kN; s += 2 * len)
+                for (size_t j = 0; j < len; ++j) {
+                    const std::uint32_t u = x[s + j], v = x[s + j + len];
+                    const std::uint64_t hi =
+                        (std::uint64_t{v} * tables[1][len + j]) >> 32;
+                    std::uint32_t p = static_cast<std::uint32_t>(
+                        std::uint64_t{v} * tables[0][len + j] - hi * kQ);
+                    p = p >= kQ ? p - kQ : p;
+                    x[s + j] = u + p >= kQ ? u + p - kQ : u + p;
+                    x[s + j + len] = u >= p ? u - p : u + kQ - p;
+                }
+    }
+    const double t = secondsBetween(t0, Clock::now());
+    asm volatile("" : : "r"(a.data()) : "memory");
+    return t;
+}
+
+} // namespace
+
+double
+refKernelSeconds()
+{
+    return median({refKernelOnce(), refKernelOnce(), refKernelOnce()});
+}
+
+double
+Timed::atReference() const
+{
+    std::vector<double> v(s.size());
+    for (size_t i = 0; i < s.size(); ++i)
+        v[i] = s[i] * kRefSeconds / ref[i];
+    return median(std::move(v));
+}
+
 void
 unpinAll()
 {
@@ -182,25 +215,32 @@ unpinAll()
 }
 
 int
-repinToFastestCpu()
+repinToFastestCpu(double *ref_s)
 {
-    if (!haveAllowed())
+    if (!haveAllowed()) {
+        if (ref_s)
+            *ref_s = refKernelSeconds();
         return -1;
+    }
     int best = -1;
     double best_s = 0.0;
     for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
         if (!CPU_ISSET(cpu, &g_allowed) || !pinAllTo(cpu))
             continue;
-        std::vector<double> t;
-        for (int rep = 0; rep < 3; ++rep)
-            t.push_back(butterflySeconds());
-        const double s = median(t);
+        const double s = refKernelSeconds();
         if (best < 0 || s < best_s) {
             best = cpu;
             best_s = s;
         }
     }
-    return best >= 0 && pinAllTo(best) ? best : -1;
+    if (best < 0 || !pinAllTo(best)) {
+        if (ref_s)
+            *ref_s = refKernelSeconds();
+        return -1;
+    }
+    if (ref_s)
+        *ref_s = best_s;
+    return best;
 }
 
 double

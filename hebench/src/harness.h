@@ -131,6 +131,54 @@ struct Precision
 };
 
 /**
+ * @name Host speed reference.
+ * The host's vCPUs are shared with other tenants, and how fast one
+ * runs HE code changes by up to 2.4x over minutes (README.md). Every
+ * gated timing is therefore taken between two runs of a fixed
+ * reference kernel written here, not in the library, and reported at
+ * the reference speed: seconds x kRefSeconds / (mean of the two
+ * reference runs). A change to the library moves the timing and not
+ * the reference, so it shows in full; a change of host speed moves
+ * both and cancels.
+ * @{
+ */
+/** The speed every gated figure is reported at, in reference-kernel
+ *  seconds: within the 0.83-1.9 ms the development host gave. */
+constexpr double kRefSeconds = 1.5e-3;
+
+/** The reference kernel, four 2^14-point radix-2 NTTs with Shoup
+ *  multiplication over a 28-bit prime: the median seconds of 3 runs. */
+double refKernelSeconds();
+
+/** Repetition times, each with the reference-kernel seconds measured
+ *  around it. */
+struct Timed
+{
+    std::vector<double> s;   ///< wall seconds as measured
+    std::vector<double> ref; ///< mean of the reference runs around it
+
+    /** Time one call of @p fn between two reference runs; returns what
+     *  @p fn returns. */
+    template <typename Fn>
+    auto
+    time(Fn &&fn)
+    {
+        const double r0 = refKernelSeconds();
+        const auto t0 = Clock::now();
+        auto out = fn();
+        s.push_back(secondsBetween(t0, Clock::now()));
+        ref.push_back(0.5 * (r0 + refKernelSeconds()));
+        return out;
+    }
+
+    size_t size() const { return s.size(); }
+
+    /** Median repetition at the reference speed. */
+    double atReference() const;
+};
+/** @} */
+
+/**
  * Measure effective cores, then pin the process to the fastest CPU
  * (repinToFastestCpu). Prints the run context (SIMD ISA, threads,
  * effective cores, chosen CPU) and returns the effective-cores figure.
@@ -139,13 +187,14 @@ double setUpRunContext(const Options &opts, unsigned pool_threads);
 
 /**
  * Pin every thread of the process, and so every thread it creates
- * afterwards, to the CPU of the originally allowed set on which a
- * short fixed kernel (written here, not in the library) runs fastest.
- * The host's cores are shared with other tenants and the least loaded
- * one changes within a run, so the workloads call this again at every
- * quiescent point. Returns the CPU, or -1 when affinity is unavailable.
+ * afterwards, to the CPU of the originally allowed set on which the
+ * reference kernel runs fastest. The host's cores are shared with
+ * other tenants and the least loaded one changes within a run, so the
+ * workloads call this again at every quiescent point. Returns the
+ * CPU, or -1 when affinity is unavailable; @p ref_s, when given,
+ * receives the median reference seconds on the CPU pinned to.
  */
-int repinToFastestCpu();
+int repinToFastestCpu(double *ref_s = nullptr);
 
 /** Undo repinToFastestCpu: let every thread run on any CPU of the
  *  originally allowed set again. */

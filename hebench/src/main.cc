@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <malloc.h>
+
 #include "harness.h"
 
 namespace {
@@ -95,6 +97,15 @@ int
 main(int argc, char **argv)
 {
     const hebench::Options opts = parseArgs(argc, argv);
+    // Keep freed memory in the process for reuse, as a long-running
+    // server's allocator does. With glibc's defaults every multi-MiB
+    // temporary of a Set C operation is fresh mmap'd pages, whose
+    // faults cost about 30% of a Mult & Relin and grow with host load
+    // faster than the reference kernel does (README.md).
+    const bool kept = mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&
+                      mallopt(M_TRIM_THRESHOLD, 1 << 30) == 1;
+    std::printf("allocator: freed memory kept for reuse: %s\n",
+                kept ? "yes" : "no");
     hebench::RunResult r;
     if (opts.workload == "serve")
         r = hebench::runServe(opts);

@@ -1,8 +1,9 @@
 /**
  * @file
  * The offline phase (offline.h). Each throughput is reported from the
- * median repetition. Every repetition's output is compared bit for bit
- * with a reference computed before the timed region: the one-shot
+ * median repetition at the reference speed (harness.h). Every
+ * repetition's output is compared bit for bit with a reference
+ * computed before the timed region: the one-shot
  * SwitchKey evaluator paths, the sequential item-by-item loop,
  * BootstrapPipeline::runSequential, the radix-2 NTT, and for BFV the
  * first product, which must decrypt to a * b mod t.
@@ -37,9 +38,6 @@ namespace {
 constexpr size_t kBatch = 16;
 constexpr u32 kCrossN = 1u << 14;
 constexpr u32 kCrossRows = 128;
-/** Repetitions of the short operations before each of the three long
- *  ones (batch, bootstrap, BFV multiply), which run once per round. */
-constexpr int kShortReps = 3;
 /** CROSS NTTs per short repetition. The CROSS NTT is the cheapest
  *  operation and the one the host's cache contention moves most, so it
  *  gets more samples. */
@@ -72,12 +70,9 @@ sameCiphertexts(const CtVec &a, const CtVec &b)
 /** Time one call of @p fn into @p samples; @p check runs untimed. */
 template <typename Fn, typename Check>
 void
-timeOnce(std::vector<double> &samples, Fn &&fn, Check &&check)
+timeOnce(Timed &samples, Fn &&fn, Check &&check)
 {
-    const auto t0 = Clock::now();
-    auto out = fn();
-    samples.push_back(secondsBetween(t0, Clock::now()));
-    check(out);
+    check(samples.time(fn));
 }
 
 double
@@ -151,9 +146,9 @@ struct OfflinePhase::State
     /** @} */
 
     /** @name Timed rounds (run()). @{ */
-    std::vector<double> mult, rotate, batch, bootstrap, bfv, crossNtt;
+    Timed mult, rotate, batch, bootstrap, bfv, crossNtt;
     /** Traced runs: the repetitions through the logged evaluator. */
-    std::vector<double> multLogged, rotateLogged;
+    Timed multLogged, rotateLogged;
     KernelLog opLog, bootLog, bfvLog;
     double modupMs = 0.0, innerMs = 0.0;
     double parallelMs[2] = {0.0, 0.0}; ///< at 1 and at nproc threads
@@ -363,16 +358,18 @@ OfflinePhase::run(double seconds, bool trace)
     do {
         for (const auto &long_op : run_long) {
             repinToFastestCpu();
-            for (int r = 0; r < kShortReps; ++r)
-                run_short();
+            run_short();
             repinToFastestCpu();
             long_op();
         }
     } while (secondsBetween(start, Clock::now()) < seconds);
     std::printf("offline: %zu rounds in %.1f s  (Set C Mult & Relin %.1f ms, "
-                "bootstrap %.0f ms)\n",
+                "bootstrap %.0f ms; at the reference speed %.1f ms, "
+                "%.0f ms)\n",
                 s.batch.size(), secondsBetween(start, Clock::now()),
-                median(s.mult) * 1e3, median(s.bootstrap) * 1e3);
+                median(s.mult.s) * 1e3, median(s.bootstrap.s) * 1e3,
+                s.mult.atReference() * 1e3,
+                s.bootstrap.atReference() * 1e3);
     if (!trace)
         return;
 
@@ -430,12 +427,12 @@ void
 OfflinePhase::addEndToEnd(RunResult &out) const
 {
     const State &s = *s_;
-    out.add("mult_relin_per_s", 1.0 / median(s.mult), "1/s");
-    out.add("rotate_per_s", 1.0 / median(s.rotate), "1/s");
-    out.add("batch_items_per_s", kBatch / median(s.batch), "1/s");
-    out.add("bootstrap_per_s", 1.0 / median(s.bootstrap), "1/s");
-    out.add("bfv_mult_per_s", 1.0 / median(s.bfv), "1/s");
-    out.add("cross_ntt_per_s", 1.0 / median(s.crossNtt), "1/s");
+    out.add("mult_relin_per_s", 1.0 / s.mult.atReference(), "1/s");
+    out.add("rotate_per_s", 1.0 / s.rotate.atReference(), "1/s");
+    out.add("batch_items_per_s", kBatch / s.batch.atReference(), "1/s");
+    out.add("bootstrap_per_s", 1.0 / s.bootstrap.atReference(), "1/s");
+    out.add("bfv_mult_per_s", 1.0 / s.bfv.atReference(), "1/s");
+    out.add("cross_ntt_per_s", 1.0 / s.crossNtt.atReference(), "1/s");
 }
 
 void
@@ -449,7 +446,7 @@ OfflinePhase::addPerLayer(RunResult &out) const
                                                s.rotateLogged.size()));
     out.add("ckks.kernel_coverage",
             s.opLog.totalSeconds() /
-                (sum(s.multLogged) + sum(s.rotateLogged)),
+                (sum(s.multLogged.s) + sum(s.rotateLogged.s)),
             "ratio");
     out.add("ckks.keyswitch.modup_ms", s.modupMs, "ms");
     out.add("ckks.keyswitch.inner_ms", s.innerMs, "ms");
@@ -457,7 +454,7 @@ OfflinePhase::addPerLayer(RunResult &out) const
             static_cast<double>(s.bootLog.hoistedModUpSaves()) /
                 static_cast<double>(s.bootstrap.size()),
             "count");
-    out.add("cross.ntt_us", median(s.crossNtt) * 1e6, "us");
+    out.add("cross.ntt_us", s.crossNtt.atReference() * 1e6, "us");
 
     // The BigUInt t/Q scale-down is logged as the BConv call from
     // 3 x |Q u B| limbs to 3 x |Q| limbs.
@@ -466,10 +463,10 @@ OfflinePhase::addPerLayer(RunResult &out) const
     for (const auto &c : s.bfvLog.calls())
         if (c.kind == KernelKind::BConv && c.limbsOut == scaled_limbs)
             scale_down += c.seconds;
-    out.add("bfv.scale_down_frac", scale_down / sum(s.bfv), "ratio");
+    out.add("bfv.scale_down_frac", scale_down / sum(s.bfv.s), "ratio");
     out.add("trace.overhead_frac",
-            (median(s.multLogged) + median(s.rotateLogged)) /
-                    (median(s.mult) + median(s.rotate)) -
+            (s.multLogged.atReference() + s.rotateLogged.atReference()) /
+                    (s.mult.atReference() + s.rotate.atReference()) -
                 1.0,
             "ratio");
     out.add("common.parallel.mult_relin_ms.t1", s.parallelMs[0], "ms");

@@ -36,7 +36,7 @@ class OfflinePhase
     /**
      * Timed rounds until @p seconds are spent. A round runs one
      * 16-item fused batch, one Hoisted bootstrap and one BFV Mult &
-     * Relin, each after 3 repetitions of Mult & Relin, Rotate and
+     * Relin, each after one repetition of Mult & Relin, Rotate and
      * 3 x CROSS NTT. Every repetition is checked against its
      * reference. With @p trace every other Mult & Relin and Rotate,
      * the bootstrap and the BFV multiply carry a KernelLog, and the

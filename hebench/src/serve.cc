@@ -5,7 +5,9 @@
  * the closed-loop offline phase at Set C (offline.h).
  *
  * One generator thread submits on an absolute, seeded Poisson schedule
- * at fixed request rates, so faster code faces the same offered load.
+ * at fixed request rates, so faster code faces the same offered load,
+ * and between those rate points in bursts that fill the queue, for
+ * capacity_rps.
  * One collector thread stamps each completion as soon as it observes
  * the future ready, whatever order the scheduler completes requests
  * in, and every latency is measured from the request's due time, so a
@@ -63,7 +65,7 @@ constexpr unsigned kPoolThreads = 1;
 constexpr int kSetupReps = 3;
 /** Share of --seconds given to the serving phase; the offline phase
  *  gets the rest. */
-constexpr double kServingShare = 0.6;
+constexpr double kServingShare = 0.35;
 constexpr size_t kMaxBatch = 16;
 
 /**
@@ -83,8 +85,8 @@ constexpr double kDenseShare = kSeedPipeMs / (kSeedPipeMs + kSeedDenseMs);
 /** Mean sequential service time of one request of the mix. */
 constexpr double kSeedMeanMs =
     (1.0 - kDenseShare) * kSeedPipeMs + kDenseShare * kSeedDenseMs;
-/** Latency limit of goodput_rps.over and ok_frac.high: about four
- *  times the p99 latency at `low`. */
+/** Latency limit of ok_frac.high and serving.goodput_rps.over: about
+ *  four times the p99 latency at `low`. */
 constexpr double kLimitMs = 200.0;
 /** Deadline of every other request: the client gives up at the limit,
  *  so shedding removes only requests that would miss it anyway. */
@@ -98,6 +100,11 @@ constexpr size_t kQueueDepth =
  *  both workloads: about 30%, 50% and 200% of the 320 req/s the
  *  `serve` engine completed at saturation. */
 constexpr double kRps[3] = {95.0, 160.0, 640.0};
+/** Requests per capacity burst: as many as the queue holds, so none
+ *  is refused, and of them the dense-layer share. */
+constexpr size_t kBurst = kQueueDepth;
+constexpr size_t kBurstDense =
+    static_cast<size_t>(kBurst * kDenseShare + 0.5);
 /** @} */
 
 enum Model : int
@@ -106,16 +113,19 @@ enum Model : int
     kDense = 1,
 };
 
+/** The three open-loop rate points, then the closed-loop capacity
+ *  bursts. */
 enum Point : int
 {
     kLow = 0,
     kHigh = 1,
     kOver = 2,
+    kCap = 3,
 };
 
-constexpr const char *kPointName[3] = {"low", "high", "over"};
-/** Share of the serving phase each rate point gets. */
-constexpr double kPointShare[3] = {0.4, 0.3, 0.3};
+constexpr const char *kPointName[4] = {"low", "high", "over", "cap"};
+/** Share of the serving phase each point gets. */
+constexpr double kPointShare[4] = {0.25, 0.25, 0.15, 0.35};
 
 /** A serving workload: who owns keys, and the key-cache budget. */
 struct ServeSpec
@@ -395,32 +405,55 @@ struct Arrival
     bool deadline;
 };
 
-/** Seeded Poisson schedule over [0, duration): tenants drawn in
- *  proportion to weight, models by kDenseShare, every other request
- *  carries a deadline. */
-std::vector<Arrival>
-makeSchedule(const ServeSpec &spec, double rps, double duration, Rng &rng)
+/** A request of @p model from a tenant drawn in proportion to weight,
+ *  on a random input of its pool. */
+Arrival
+drawArrival(const ServeSpec &spec, double due_s, Model model, Rng &rng)
 {
     u32 weight_sum = 0;
     for (size_t t = 0; t < spec.tenants; ++t)
         weight_sum += weightOf(t);
+    Arrival a;
+    a.dueS = due_s;
+    u32 pick = static_cast<u32>(rng.uniform(weight_sum));
+    a.tenant = 0;
+    while (pick >= weightOf(a.tenant))
+        pick -= weightOf(a.tenant++);
+    a.model = model;
+    a.idx = static_cast<u32>(rng.uniform(spec.poolPerModel));
+    a.deadline = false;
+    return a;
+}
+
+/** Seeded Poisson schedule over [0, duration): models by kDenseShare,
+ *  every other request carries a deadline. */
+std::vector<Arrival>
+makeSchedule(const ServeSpec &spec, double rps, double duration, Rng &rng)
+{
     std::vector<Arrival> out;
     double t = 0.0;
     for (;;) {
         t += -std::log(1.0 - rng.real()) / rps;
         if (t >= duration)
             break;
-        Arrival a;
-        a.dueS = t;
-        u32 pick = static_cast<u32>(rng.uniform(weight_sum));
-        a.tenant = 0;
-        while (pick >= weightOf(a.tenant))
-            pick -= weightOf(a.tenant++);
-        a.model = rng.real() < kDenseShare ? kDense : kPipe;
-        a.idx = static_cast<u32>(rng.uniform(spec.poolPerModel));
+        const Model model = rng.real() < kDenseShare ? kDense : kPipe;
+        Arrival a = drawArrival(spec, t, model, rng);
         a.deadline = out.size() % 2 == 0;
         out.push_back(a);
     }
+    return out;
+}
+
+/** One capacity burst: kBurst requests due at once, exactly
+ *  kBurstDense of them dense, so every burst is the same work. No
+ *  deadlines: the burst measures service, not admission. */
+std::vector<Arrival>
+makeBurst(const ServeSpec &spec, Rng &rng)
+{
+    std::vector<Arrival> out;
+    for (size_t i = 0; i < kBurst; ++i)
+        out.push_back(
+            drawArrival(spec, 0.0, i < kBurstDense ? kDense : kPipe, rng));
     return out;
 }
 
@@ -479,6 +512,8 @@ struct PointResult
     u64 batchedRequests = 0;
     std::vector<u64> tenantCompleted;
     /** @} */
+    /** Capacity point only: each burst, submit to drain. */
+    Timed burst;
 
     double
     batchMean() const
@@ -492,6 +527,8 @@ struct PointResult
 struct Pending
 {
     Clock::time_point due;
+    /** Host seconds per reference second in the request's segment. */
+    double slow = 1.0;
     std::future<Ciphertext> fut;
     const Ciphertext *ref = nullptr;
     Point point = kLow;
@@ -503,16 +540,25 @@ struct Pending
 constexpr int kCycles = 5;
 
 /**
- * The open-loop run: kCycles cycles of one segment per rate point, on
- * one engine. Each segment submits its seeded Poisson schedule, then
- * waits until every request it sent has resolved, so one segment's
- * backlog never delays the next one's requests.
+ * The serving run: kCycles cycles of one segment per point, on one
+ * engine. A rate-point segment submits its seeded Poisson schedule; a
+ * capacity segment submits bursts back to back. Each waits until every
+ * request it sent has resolved, so one segment's backlog never delays
+ * the next one's requests.
+ *
+ * Each segment runs in reference time (harness.h): on a host that
+ * runs the reference kernel @c slow times slower than kRefSeconds,
+ * arrivals are spread @c slow times wider, deadlines are @c slow
+ * times longer, and latencies are divided by @c slow. Host speed then
+ * moves neither the load nor the limit; the speed of the code under
+ * test still moves both. @p ref_s receives each segment's reference
+ * seconds.
  */
-std::array<PointResult, 3>
+std::array<PointResult, 4>
 runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
-            Rng &rng, bool trace)
+            Rng &rng, bool trace, std::vector<double> &ref_s_out)
 {
-    std::array<PointResult, 3> res;
+    std::array<PointResult, 4> res;
     for (auto &r : res)
         r.tenantCompleted.assign(spec.tenants, 0);
 
@@ -536,7 +582,6 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
     bool gen_done = false;
     std::string mismatch;
     std::string failure;
-    const auto limit = std::chrono::duration<double, std::milli>(kLimitMs);
 
     // After the engine exists, so its dispatcher keeps the normal policy.
     const ClientPriority generator_priority;
@@ -571,10 +616,12 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
                 try {
                     const Ciphertext got = p.fut.get();
                     ++r.completed;
-                    r.latMs.push_back(
+                    const double ms =
                         std::chrono::duration<double, std::milli>(stamp - p.due)
-                            .count());
-                    if (stamp - p.due <= limit)
+                            .count() /
+                        p.slow;
+                    r.latMs.push_back(ms);
+                    if (ms <= kLimitMs)
                         ++r.withinLimit;
                     if (!sameCiphertext(got, *p.ref) && mismatch.empty())
                         mismatch = "served result differs from the "
@@ -606,56 +653,79 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
         }
     });
 
+    // Submits @p schedule, in reference seconds, from t0 on at @p slow
+    // host seconds per reference second, then waits until every
+    // request it sent has resolved.
+    auto submit_and_drain = [&](Point pt, const std::vector<Arrival> &schedule,
+                                double slow) {
+        PointResult &r = res[pt];
+        const auto t0 = Clock::now() + std::chrono::milliseconds(1);
+        for (const Arrival &a : schedule) {
+            const KeySet &ks = s.keysOf(a.tenant);
+            Ciphertext input = ks.in[a.model][a.idx];
+            const auto due = t0 + std::chrono::duration_cast<Clock::duration>(
+                                      std::chrono::duration<double>(a.dueS *
+                                                                    slow));
+            std::this_thread::sleep_until(due);
+            const auto start = Clock::now();
+            r.lagMs.push_back(
+                std::chrono::duration<double, std::milli>(start - due).count());
+            serving::SubmitOptions opts;
+            if (a.deadline)
+                opts.deadlineUs = static_cast<u64>(kDeadlineMs * 1e3 * slow);
+            Pending p;
+            p.due = due;
+            p.slow = slow;
+            p.ref = &ks.ref[a.model][a.idx];
+            p.point = pt;
+            p.fut = a.model == kPipe
+                        ? engine.submit(streams[a.tenant], ks.pipe,
+                                        std::move(input), opts)
+                        : engine.submit(streams[a.tenant], *ks.dense,
+                                        std::move(input), opts);
+            if (trace)
+                r.submitUs.push_back(
+                    std::chrono::duration<double, std::micro>(Clock::now() -
+                                                              start)
+                        .count());
+            ++r.sent;
+            {
+                std::lock_guard<std::mutex> lock(m);
+                inbox.push_back(std::move(p));
+                ++outstanding;
+            }
+            cv.notify_one();
+        }
+        std::unique_lock<std::mutex> lock(m);
+        drained.wait(lock, [&] { return outstanding == 0; });
+    };
+
     for (int cycle = 0; cycle < kCycles; ++cycle) {
-        for (const Point pt : {kLow, kHigh, kOver}) {
-            // Quiescent here: follow the least loaded CPU of the host.
-            repinToFastestCpu();
+        for (const Point pt : {kLow, kHigh, kOver, kCap}) {
+            // Quiescent here: follow the least loaded CPU of the host,
+            // and run the segment in reference time on it.
+            double ref_s = kRefSeconds;
+            repinToFastestCpu(&ref_s);
+            ref_s_out.push_back(ref_s);
+            const double slow = ref_s / kRefSeconds;
             PointResult &r = res[pt];
-            const double dur = seconds * kPointShare[pt] / kCycles;
-            r.windowS += dur;
-            const auto schedule = makeSchedule(spec, kRps[pt], dur, rng);
+            const double dur = seconds * kPointShare[pt] / kCycles / slow;
             const auto before = engine.stats();
             const auto tenants_before = engine.tenantStats();
-
-            const auto t0 = Clock::now() + std::chrono::milliseconds(1);
-            for (const Arrival &a : schedule) {
-                const KeySet &ks = s.keysOf(a.tenant);
-                Ciphertext input = ks.in[a.model][a.idx];
-                const auto due =
-                    t0 + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(a.dueS));
-                std::this_thread::sleep_until(due);
-                const auto start = Clock::now();
-                r.lagMs.push_back(
-                    std::chrono::duration<double, std::milli>(start - due)
-                        .count());
-                serving::SubmitOptions opts;
-                if (a.deadline)
-                    opts.deadlineUs = static_cast<u64>(kDeadlineMs * 1e3);
-                Pending p;
-                p.due = due;
-                p.ref = &ks.ref[a.model][a.idx];
-                p.point = pt;
-                p.fut = a.model == kPipe
-                            ? engine.submit(streams[a.tenant], ks.pipe,
-                                            std::move(input), opts)
-                            : engine.submit(streams[a.tenant], *ks.dense,
-                                            std::move(input), opts);
-                if (trace)
-                    r.submitUs.push_back(std::chrono::duration<double, std::micro>(
-                                             Clock::now() - start)
-                                             .count());
-                ++r.sent;
-                {
-                    std::lock_guard<std::mutex> lock(m);
-                    inbox.push_back(std::move(p));
-                    ++outstanding;
-                }
-                cv.notify_one();
-            }
-            {
-                std::unique_lock<std::mutex> lock(m);
-                drained.wait(lock, [&] { return outstanding == 0; });
+            r.windowS += dur;
+            if (pt == kCap) {
+                // Back-to-back bursts until the window is spent.
+                const auto w0 = Clock::now();
+                do {
+                    const auto schedule = makeBurst(spec, rng);
+                    r.burst.time([&] {
+                        submit_and_drain(pt, schedule, slow);
+                        return 0;
+                    });
+                } while (secondsBetween(w0, Clock::now()) < dur * slow);
+            } else {
+                submit_and_drain(pt, makeSchedule(spec, kRps[pt], dur, rng),
+                                 slow);
             }
             const auto after = engine.stats();
             const auto tenants_after = engine.tenantStats();
@@ -688,7 +758,7 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
     if (!failure.empty())
         std::fprintf(stderr, "%s: request failed: %s\n", spec.name,
                      failure.c_str());
-    for (const Point pt : {kLow, kHigh, kOver}) {
+    for (const Point pt : {kLow, kHigh, kOver, kCap}) {
         const PointResult &r = res[pt];
         require(r.completed + r.queueFull + r.deadlineErrors + r.shutdown +
                         r.failed ==
@@ -700,6 +770,17 @@ runOpenLoop(const ServeSetup &s, const ServeSpec &spec, double seconds,
         require(r.deadlineRejected + r.deadlineShed == r.deadlineErrors,
                 "serving: deadline rejections + sheds differ from the "
                 "DeadlineErrors delivered");
+        if (pt == kCap) {
+            require(r.completed == r.sent,
+                    "serving: a capacity burst request was refused");
+            std::printf("  cap   %zu bursts of %zu (%zu dense) over %5.2f s  "
+                        "median burst %.2f ms (%.2f ms at the reference "
+                        "speed)  batch %.2f\n",
+                        r.burst.size(), kBurst, kBurstDense, r.windowS,
+                        median(r.burst.s) * 1e3, r.burst.atReference() * 1e3,
+                        r.batchMean());
+            continue;
+        }
         std::printf("  %-5s offered %6.1f r/s over %5.2f s  sent %5llu  "
                     "done %5llu  in-limit %5llu  queue-full %4llu  "
                     "deadline-rej %4llu  shed %4llu  failed %llu  "
@@ -821,24 +902,27 @@ runServing(const Options &opts, const ServeSpec &spec)
     setGlobalThreadCount(kPoolThreads);
     const double cores = setUpRunContext(opts, kPoolThreads);
 
-    std::vector<double> setup_s;
+    Timed setup;
     std::unique_ptr<ServeSetup> s;
     std::unique_ptr<OfflinePhase> offline;
     for (int r = 0; r < kSetupReps; ++r) {
         s.reset();
         offline.reset();
-        const auto t0 = Clock::now();
-        s = buildSetup(spec, opts.seed);
-        offline = std::make_unique<OfflinePhase>(opts.seed);
-        setup_s.push_back(secondsBetween(t0, Clock::now()));
+        setup.time([&] {
+            s = buildSetup(spec, opts.seed);
+            offline = std::make_unique<OfflinePhase>(opts.seed);
+            return 0;
+        });
     }
     std::vector<double> compile_ms;
     for (const auto &ks : s->keys)
         compile_ms.push_back(ks->compileMs);
     auto &cache = s->ctx->keySwitchCache();
-    std::printf("setup: %.3f s median of %d  (key sets %zu, working set "
-                "%.2f MiB, cache budget %.2f MiB)\n",
-                median(setup_s), kSetupReps, s->keys.size(),
+    std::printf("setup: %.3f s median of %d, %.3f s at the reference speed  "
+                "(key sets %zu, working set %.2f MiB, cache budget %.2f "
+                "MiB)\n",
+                median(setup.s), kSetupReps, setup.atReference(),
+                s->keys.size(),
                 static_cast<double>(s->unionWorkingSetBytes) / (1 << 20),
                 static_cast<double>(cache.byteBudget()) / (1 << 20));
 
@@ -852,10 +936,11 @@ runServing(const Options &opts, const ServeSpec &spec)
 
     cache.resetStats();
     Rng rng(opts.seed * 7919 + 3);
+    std::vector<double> serving_ref_s;
     const auto points = runOpenLoop(*s, spec, opts.seconds * kServingShare,
-                                    rng, opts.trace);
+                                    rng, opts.trace, serving_ref_s);
     const PointResult &low = points[kLow], &high = points[kHigh],
-                      &over = points[kOver];
+                      &over = points[kOver], &cap = points[kCap];
     const u64 hits = cache.hits(), misses = cache.misses();
     std::printf("keycache: hits %llu  misses %llu  evictions %llu  "
                 "resident %.2f MiB  retired %.2f MiB\n",
@@ -867,7 +952,7 @@ runServing(const Options &opts, const ServeSpec &spec)
     offline->run(opts.seconds * (1.0 - kServingShare), opts.trace);
 
     RunResult out;
-    for (const PointResult *p : {&low, &high, &over}) {
+    for (const PointResult *p : {&low, &high, &over, &cap}) {
         out.attempted += p->sent;
         out.failed += p->failed;
     }
@@ -877,10 +962,10 @@ runServing(const Options &opts, const ServeSpec &spec)
             "serving: too few completed requests to report percentiles");
 
     if (!opts.trace) {
-        out.add("setup_s", median(setup_s), "s");
+        out.add("setup_s", setup.atReference(), "s");
         out.add("precision_bits", precision.meanBits, "bits");
-        out.add("goodput_rps.over",
-                static_cast<double>(over.withinLimit) / over.windowS, "1/s");
+        out.add("capacity_rps",
+                static_cast<double>(kBurst) / cap.burst.atReference(), "1/s");
         out.add("ok_frac.high",
                 static_cast<double>(high.withinLimit) /
                     static_cast<double>(high.sent),
@@ -901,6 +986,8 @@ runServing(const Options &opts, const ServeSpec &spec)
     out.add("gen.lag_ms_p99", quantile(lag, 0.99), "ms");
     out.add("serving.submit_us_p50", median(submit), "us");
     out.add("serving.batch_mean", high.batchMean(), "count");
+    out.add("serving.goodput_rps.over",
+            static_cast<double>(over.withinLimit) / over.windowS, "1/s");
     out.add("serving.p50_ms.low", quantile(low.latMs, 0.5), "ms");
     out.add("serving.p99_ms.low", quantile(low.latMs, 0.99), "ms");
     out.add("serving.p50_ms.high", quantile(high.latMs, 0.5), "ms");
@@ -929,6 +1016,7 @@ runServing(const Options &opts, const ServeSpec &spec)
     offline->addPerLayer(out);
     addLayerProbes(out, opts.seed);
     out.add("common.parallel.effective_cores", cores, "cores");
+    out.add("host.ref_kernel_us", median(serving_ref_s) * 1e6, "us");
     return out;
 }
 
