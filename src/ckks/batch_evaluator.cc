@@ -194,20 +194,20 @@ BatchEvaluator::mapBatch(
     return out;
 }
 
-std::vector<const KeySwitchPrecomp *>
+std::vector<PrecompPtr>
 BatchEvaluator::precompPerLevel(const SwitchKey &swk,
                                 const std::vector<size_t> &levels) const
 {
-    std::vector<const KeySwitchPrecomp *> pre;
+    std::vector<PrecompPtr> pre;
     if (levels.empty())
         return pre;
     const size_t max_level =
         *std::max_element(levels.begin(), levels.end());
-    pre.resize(max_level + 1, nullptr);
+    pre.resize(max_level + 1);
     const CkksEvaluator ev(ctx_);
     for (size_t level : levels) {
         if (!pre[level])
-            pre[level] = &ev.precomputeKeySwitchCached(swk, level);
+            pre[level] = ev.precomputeKeySwitchShared(swk, level);
     }
     return pre;
 }
@@ -236,9 +236,6 @@ BatchEvaluator::multiply(const CtVec &a, const CtVec &b,
 {
     requireThat(a.size() == b.size(),
                 "BatchEvaluator::multiply: size mismatch");
-    // Quiesce scope: retired precomps are reclaimed when the last
-    // in-flight reader (this call, possibly concurrent ones) drops.
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
     std::vector<size_t> levels(a.size());
     for (size_t i = 0; i < a.size(); ++i)
         levels[i] = std::min(a[i].limbs(), b[i].limbs()) - 1;
@@ -269,7 +266,6 @@ BatchEvaluator::rotate(const CtVec &cts, u32 auto_idx,
                        const SwitchKey &rot_key) const
 {
     checkAutomorphismIndex(ctx_, auto_idx);
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
     std::vector<size_t> levels(cts.size());
     for (size_t i = 0; i < cts.size(); ++i)
         levels[i] = cts[i].limbs() - 1;
@@ -305,20 +301,17 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     const size_t count = input.size();
     const auto &stages = pipeline.stages();
 
-    // Quiesce scope for the whole pipeline: precomp references fetched
-    // below stay valid across eviction while any run is in flight, and
-    // the last run to finish reclaims the retired storage.
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
-
     // Walk every item's (limb count, scale) through the stages to
     // discover the exact set of (key, level) precomps the pipeline
     // needs, fetch each from the context's residency cache exactly
     // once (sequential prefetch: the parallel region below only
-    // reads), warm the shared automorphism maps, and fail fast on
-    // malformed operands -- level/scale-mismatched plaintext rows,
-    // short rhs batches, drained modulus chains -- before any parallel
-    // work starts. The scale walk replays the evaluator's exact
-    // floating-point updates, so its checks accept precisely the
+    // reads, and the handles keep every precomp alive until the run
+    // returns, whatever the cache evicts meanwhile), warm the shared
+    // automorphism maps, and fail fast on malformed operands --
+    // level/scale-mismatched plaintext rows, short rhs batches,
+    // drained modulus chains, keys too short for the level -- before
+    // any parallel work starts. The scale walk replays the evaluator's
+    // exact floating-point updates, so its checks accept precisely the
     // batches the per-item execution would accept.
     //
     // stage_pre[s][i] is the precomp item i uses at stage s (null for
@@ -330,11 +323,10 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
         limbs[i] = input[i].limbs();
         scale[i] = input[i].scale;
     }
-    std::vector<std::vector<const KeySwitchPrecomp *>> stage_pre(
-        stages.size(),
-        std::vector<const KeySwitchPrecomp *>(count, nullptr));
-    std::vector<std::vector<std::vector<const KeySwitchPrecomp *>>>
-        accum_pre(stages.size());
+    std::vector<std::vector<PrecompPtr>> stage_pre(
+        stages.size(), std::vector<PrecompPtr>(count));
+    std::vector<std::vector<std::vector<PrecompPtr>>> accum_pre(
+        stages.size());
     const CkksEvaluator builder(ctx_);
     for (size_t s = 0; s < stages.size(); ++s) {
         const auto &st = stages[s];
@@ -360,13 +352,9 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             for (size_t i = 0; i < count; ++i) {
                 limbs[i] = std::min(limbs[i], (*st.rhs)[i].limbs());
                 scale[i] = scale[i] * (*st.rhs)[i].scale;
-                requireThat(ctx_.activeDigits(limbs[i] - 1) <=
-                                st.key->digits.size(),
-                            "BatchEvaluator::run: relinearisation key "
-                            "does not cover the item level");
                 stage_pre[s][i] =
-                    &builder.precomputeKeySwitchCached(*st.key,
-                                                       limbs[i] - 1);
+                    builder.precomputeKeySwitchShared(*st.key,
+                                                      limbs[i] - 1);
             }
             break;
 
@@ -403,13 +391,9 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             if (count > 0)
                 (void)ctx_.ring().evalAutoMap(st.autoIdx);
             for (size_t i = 0; i < count; ++i) {
-                requireThat(ctx_.activeDigits(limbs[i] - 1) <=
-                                st.key->digits.size(),
-                            "BatchEvaluator::run: rotation key does "
-                            "not cover the item level");
                 stage_pre[s][i] =
-                    &builder.precomputeKeySwitchCached(*st.key,
-                                                       limbs[i] - 1);
+                    builder.precomputeKeySwitchShared(*st.key,
+                                                      limbs[i] - 1);
             }
             break;
 
@@ -446,23 +430,22 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                 checkAutomorphismIndex(ctx_, br.autoIdx);
                 for (size_t i = 0; i < count; ++i) {
                     requireThat(ctx_.activeDigits(limbs[i] - 1) <=
-                                    br.key->digits.size(),
+                                    br.key->digits().size(),
                                 "BatchEvaluator::run: rotateAccum "
                                 "branch key does not cover the item "
                                 "level");
                 }
             }
-            accum_pre[s].assign(
-                st.branches.size(),
-                std::vector<const KeySwitchPrecomp *>(count, nullptr));
+            accum_pre[s].assign(st.branches.size(),
+                                std::vector<PrecompPtr>(count));
             for (size_t b = 0; b < st.branches.size(); ++b) {
                 const auto &br = st.branches[b];
                 if (count > 0)
                     (void)ctx_.ring().evalAutoMap(br.autoIdx);
                 for (size_t i = 0; i < count; ++i) {
                     accum_pre[s][b][i] =
-                        &builder.precomputeKeySwitchCached(
-                            *br.key, limbs[i] - 1);
+                        builder.precomputeKeySwitchShared(*br.key,
+                                                          limbs[i] - 1);
                 }
             }
             break;

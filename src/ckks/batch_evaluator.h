@@ -228,11 +228,11 @@ class BatchEvaluator
             &fn) const;
 
     /**
-     * One resident KeySwitchPrecomp per distinct level in @p levels
+     * One shared KeySwitchPrecomp per distinct level in @p levels
      * (fetched from the context cache up front, outside the parallel
      * region; read-only afterwards). Indexed by level.
      */
-    std::vector<const KeySwitchPrecomp *>
+    std::vector<PrecompPtr>
     precompPerLevel(const SwitchKey &swk,
                     const std::vector<size_t> &levels) const;
 

@@ -75,8 +75,8 @@ class CkksContext
     /**
      * Residency cache of key-switching operands, shared by every
      * evaluator and batch pipeline on this context: one
-     * KeySwitchPrecomp per (key identity, level), built on first use
-     * (see keyswitch_cache.h for the invalidation rules).
+     * KeySwitchPrecomp per (key id, level), built on first use
+     * (see keyswitch_cache.h for the identity and ownership rules).
      */
     KeySwitchCache &keySwitchCache() const { return ksCache_; }
 

@@ -406,7 +406,7 @@ KeySwitchPrecomp
 CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
 {
     const size_t d = ctx_.activeDigits(level);
-    requireThat(d <= swk.digits.size(),
+    requireThat(d <= swk.digits().size(),
                 "precomputeKeySwitch: not enough digits");
     KeySwitchPrecomp pre;
     pre.level = level;
@@ -414,8 +414,8 @@ CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
     pre.keys.reserve(d);
     for (size_t j = 0; j < d; ++j) {
         pre.keys.emplace_back(
-            swk.digits[j].first.selectSlots(pre.extSlots),
-            swk.digits[j].second.selectSlots(pre.extSlots));
+            swk.digits()[j].first.selectSlots(pre.extSlots),
+            swk.digits()[j].second.selectSlots(pre.extSlots));
         // Warm the conversion cache so parallel batch items hit only
         // read paths.
         (void)ctx_.modUpConv(j, level);
@@ -424,59 +424,40 @@ CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
     return pre;
 }
 
-namespace {
-
-/**
- * Cheap content fingerprint of a switching key (FNV-1a over a few
- * coefficients per digit). Switching keys are uniform ring elements,
- * so a handful of words separates distinct keys with overwhelming
- * probability; the residency cache uses this to detect a different
- * key re-using a cached key's address.
- */
-u64
-switchKeyFingerprint(const SwitchKey &swk)
+PrecompPtr
+CkksEvaluator::precomputeKeySwitchShared(const SwitchKey &swk,
+                                         size_t level) const
 {
-    u64 h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](u64 v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
-    mix(swk.digits.size());
-    for (const auto &digit : swk.digits) {
-        const auto &b = digit.first.limb(0);
-        const auto &a = digit.second.limb(0);
-        mix(b.front());
-        mix(b[b.size() / 2]);
-        mix(b.back());
-        mix(a.front());
-        mix(a.back());
-    }
-    return h;
+    // Check before the lookup: entries are keyed by id, and a
+    // moved-from key keeps its id without its digits, so a hit must
+    // not hide a key that could never have built the entry.
+    requireThat(ctx_.activeDigits(level) <= swk.digits().size(),
+                "key-switch precomp: switching key has too few digits "
+                "for the level (moved-from, default-constructed or "
+                "short key)");
+    return ctx_.keySwitchCache().get(
+        swk.id(), level, [&] { return precomputeKeySwitch(swk, level); });
 }
-
-} // namespace
 
 const KeySwitchPrecomp &
 CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
                                          size_t level) const
 {
-    return ctx_.keySwitchCache().get(
-        &swk, switchKeyFingerprint(swk), level,
-        [&] { return precomputeKeySwitch(swk, level); });
+    return *precomputeKeySwitchShared(swk, level);
 }
 
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &c, const SwitchKey &swk) const
 {
     const size_t level = c.limbCount() - 1;
-    requireThat(ctx_.activeDigits(level) <= swk.digits.size(),
+    requireThat(ctx_.activeDigits(level) <= swk.digits().size(),
                 "keySwitch: not enough digits");
     const auto ext_slots = ctx_.extendedSlots(level);
     return keySwitchImpl(c, ext_slots, [&](size_t j) {
         // One materialisation per digit, exactly as the pre-precomp
         // code path did.
-        return std::make_pair(swk.digits[j].first.selectSlots(ext_slots),
-                              swk.digits[j].second.selectSlots(ext_slots));
+        return std::make_pair(swk.digits()[j].first.selectSlots(ext_slots),
+                              swk.digits()[j].second.selectSlots(ext_slots));
     });
 }
 

@@ -190,8 +190,19 @@ class CkksEvaluator
     /**
      * Like precomputeKeySwitch, but resident: served from the
      * context's KeySwitchCache, building at most once per
-     * (key identity, level) for the context's lifetime. The reference
-     * stays valid until the entry is invalidated (keyswitch_cache.h).
+     * (key id, level) while resident. The returned handle keeps the
+     * precomp valid for as long as it is held, whatever the cache
+     * evicts. Throws std::invalid_argument, before the lookup, when
+     * @p swk's digits do not cover @p level (a moved-from, default or
+     * short key).
+     */
+    PrecompPtr precomputeKeySwitchShared(const SwitchKey &swk,
+                                         size_t level) const;
+
+    /**
+     * precomputeKeySwitchShared without the handle: the reference is
+     * the cache's own and stays valid only while the entry is resident
+     * (until an eviction, invalidate() or clear() drops it).
      */
     const KeySwitchPrecomp &
     precomputeKeySwitchCached(const SwitchKey &swk, size_t level) const;

@@ -1,8 +1,16 @@
 #include "ckks/keys.h"
 
+#include <atomic>
+
 namespace cross::ckks {
 
 using poly::RnsPoly;
+
+SwitchKey::SwitchKey(std::vector<Digit> digits) : digits_(std::move(digits))
+{
+    static std::atomic<u64> next_id{0};
+    id_ = ++next_id;
+}
 
 KeyGenerator::KeyGenerator(const CkksContext &ctx, u64 seed)
     : ctx_(ctx), rng_(seed)
@@ -34,8 +42,8 @@ SwitchKey
 KeyGenerator::switchKeyFor(const RnsPoly &s_src)
 {
     const size_t full = ctx_.qCount() + ctx_.pCount();
-    SwitchKey swk;
-    swk.digits.reserve(ctx_.params().dnum);
+    std::vector<SwitchKey::Digit> digits;
+    digits.reserve(ctx_.params().dnum);
     for (u32 j = 0; j < ctx_.params().dnum; ++j) {
         RnsPoly a = RnsPoly::uniform(ctx_.ring(), full, true, rng_);
         RnsPoly e =
@@ -56,9 +64,9 @@ KeyGenerator::switchKeyFor(const RnsPoly &s_src)
         b.negateInPlace();
         b.addInPlace(e);
         b.addInPlace(term);
-        swk.digits.emplace_back(std::move(b), std::move(a));
+        digits.emplace_back(std::move(b), std::move(a));
     }
-    return swk;
+    return SwitchKey(std::move(digits));
 }
 
 SwitchKey

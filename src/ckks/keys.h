@@ -35,10 +35,29 @@ struct PublicKey
     poly::RnsPoly a;
 };
 
-/** Hybrid switching key: one (b_j, a_j) pair per digit, full basis. */
-struct SwitchKey
+/**
+ * Hybrid switching key: one (b_j, a_j) pair per digit, full basis.
+ *
+ * Building a key from digits mints a process-unique id(); copies and
+ * assignments carry it along, and the digits are read-only, so equal
+ * ids always name equal key material. The KeySwitchCache keys its
+ * resident precomps by this id. A default-constructed key has id 0
+ * and no digits.
+ */
+class SwitchKey
 {
-    std::vector<std::pair<poly::RnsPoly, poly::RnsPoly>> digits;
+  public:
+    using Digit = std::pair<poly::RnsPoly, poly::RnsPoly>;
+
+    SwitchKey() = default;
+    explicit SwitchKey(std::vector<Digit> digits);
+
+    const std::vector<Digit> &digits() const { return digits_; }
+    u64 id() const { return id_; }
+
+  private:
+    std::vector<Digit> digits_;
+    u64 id_ = 0;
 };
 
 /** Generates secret/public/relinearisation/rotation keys. */

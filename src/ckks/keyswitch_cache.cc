@@ -1,6 +1,6 @@
 #include "ckks/keyswitch_cache.h"
 
-#include "common/check.h"
+#include <iterator>
 
 namespace cross::ckks {
 
@@ -17,68 +17,56 @@ KeySwitchPrecomp::paramBytes() const
     return bytes;
 }
 
-const KeySwitchPrecomp &
-KeySwitchCache::get(const void *key_id, u64 fingerprint, size_t level,
-                    const Builder &build) const
+PrecompPtr
+KeySwitchCache::get(u64 key_id, size_t level, const Builder &build) const
 {
-    // Map nodes are address-stable, so the returned reference outlives
-    // the lock; the build itself is serialised (same discipline as the
+    // The build is serialised under the lock (same discipline as the
     // context's basis-conversion caches).
     std::lock_guard<std::mutex> lock(m_);
-    const auto key = std::make_pair(key_id, level);
-    auto it = entries_.find(key);
+    const Slot slot{key_id, level};
+    auto it = entries_.find(slot);
     if (it != entries_.end()) {
+        ++hits_;
         it->second.lastUse = ++tick_;
-        if (it->second.fingerprint == fingerprint) {
-            ++hits_;
-            return *it->second.pre;
-        }
-        // Same address, different key contents: the SwitchKey died and
-        // its address was re-used. Build the replacement *first* (a
-        // throwing build must leave the resident entry and the byte
-        // ledger untouched), then retire the old precomp (readers may
-        // still hold references into it) and swap in the fresh one.
-        ++misses_;
-        auto fresh = std::make_unique<KeySwitchPrecomp>(build());
-        residentBytes_ -= it->second.bytes;
-        retired_.push_back(std::move(it->second.pre));
-        it->second.fingerprint = fingerprint;
-        it->second.bytes = fresh->paramBytes();
-        it->second.pre = std::move(fresh);
-        residentBytes_ += it->second.bytes;
-        enforceBudgetLocked(key_id, level);
-        return *it->second.pre;
+        return it->second.pre;
     }
     ++misses_;
-    Entry e;
-    e.fingerprint = fingerprint;
-    e.lastUse = ++tick_;
-    e.pre = std::make_unique<KeySwitchPrecomp>(build());
-    e.bytes = e.pre->paramBytes();
+    auto pre = std::make_shared<const KeySwitchPrecomp>(build());
+    const size_t bytes = pre->paramBytes();
     // Insert before touching the byte ledger: a throwing map insert
     // (allocation failure) must not leave residentBytes_ accounting
     // for an entry that never landed.
-    auto it2 = entries_.emplace(key, std::move(e)).first;
-    residentBytes_ += it2->second.bytes;
-    const KeySwitchPrecomp &ref = *it2->second.pre;
-    enforceBudgetLocked(key_id, level);
-    return ref;
+    entries_.emplace(slot, Entry{++tick_, bytes, pre});
+    residentBytes_ += bytes;
+    enforceBudgetLocked(slot);
+    return pre;
+}
+
+KeySwitchCache::Entries::iterator
+KeySwitchCache::dropLocked(Entries::iterator it) const
+{
+    const Entry &e = it->second;
+    residentBytes_ -= e.bytes;
+    std::erase_if(held_, [](const Held &h) { return h.pre.expired(); });
+    // Exact under m_: new copies come only from get(), under the lock,
+    // so a count of 1 means no caller holds this precomp.
+    if (e.pre.use_count() > 1)
+        held_.push_back({e.pre, e.bytes});
+    return entries_.erase(it);
 }
 
 void
-KeySwitchCache::enforceBudgetLocked(const void *keep_key,
-                                    size_t keep_level) const
+KeySwitchCache::enforceBudgetLocked(const Slot &keep) const
 {
     if (budget_ == 0)
         return;
     while (residentBytes_ > budget_ && entries_.size() > 1) {
         // Strict LRU: evict the entry with the oldest use tick, never
-        // the one being served right now (its reference is live in the
-        // caller even if it alone exceeds the budget).
+        // the one being served right now (even if it alone exceeds the
+        // budget).
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->first.first == keep_key &&
-                it->first.second == keep_level)
+            if (it->first == keep)
                 continue;
             if (victim == entries_.end() ||
                 it->second.lastUse < victim->second.lastUse)
@@ -86,45 +74,25 @@ KeySwitchCache::enforceBudgetLocked(const void *keep_key,
         }
         if (victim == entries_.end())
             break;
-        residentBytes_ -= victim->second.bytes;
-        retired_.push_back(std::move(victim->second.pre));
-        entries_.erase(victim);
+        dropLocked(victim);
         ++evictions_;
     }
 }
 
 void
-KeySwitchCache::invalidate(const void *key_id)
+KeySwitchCache::invalidate(u64 key_id)
 {
-    // Retire, don't destroy: an in-flight evaluation (or an open
-    // serving stream) may still read the displaced precomps through
-    // references it fetched earlier. The quiesce point -- the last
-    // ReaderGuard dropping -- reclaims them; with no readers the
-    // reclamation happens right here.
     std::lock_guard<std::mutex> lock(m_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->first.first == key_id) {
-            residentBytes_ -= it->second.bytes;
-            retired_.push_back(std::move(it->second.pre));
-            it = entries_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    if (activeReaders_ == 0)
-        retired_.clear();
+    for (auto it = entries_.begin(); it != entries_.end();)
+        it = it->first.first == key_id ? dropLocked(it) : std::next(it);
 }
 
 void
 KeySwitchCache::clear()
 {
     std::lock_guard<std::mutex> lock(m_);
-    for (auto &entry : entries_)
-        retired_.push_back(std::move(entry.second.pre));
-    entries_.clear();
-    residentBytes_ = 0;
-    if (activeReaders_ == 0)
-        retired_.clear();
+    while (!entries_.empty())
+        dropLocked(entries_.begin());
 }
 
 void
@@ -133,9 +101,9 @@ KeySwitchCache::setByteBudget(size_t bytes)
     std::lock_guard<std::mutex> lock(m_);
     budget_ = bytes;
     // Shrink below the new bound immediately. No entry is being served
-    // right now, and no real entry has a null key_id, so the keeper
-    // guard never matches and plain LRU order decides.
-    enforceBudgetLocked(nullptr, 0);
+    // right now, and no built key has id 0, so the keeper never
+    // matches and plain LRU order decides.
+    enforceBudgetLocked({0, 0});
 }
 
 size_t
@@ -184,9 +152,10 @@ size_t
 KeySwitchCache::retiredBytes() const
 {
     std::lock_guard<std::mutex> lock(m_);
+    std::erase_if(held_, [](const Held &h) { return h.pre.expired(); });
     size_t bytes = 0;
-    for (const auto &pre : retired_)
-        bytes += pre->paramBytes();
+    for (const auto &h : held_)
+        bytes += h.bytes;
     return bytes;
 }
 
@@ -197,38 +166,6 @@ KeySwitchCache::resetStats()
     hits_ = 0;
     misses_ = 0;
     evictions_ = 0;
-}
-
-void
-KeySwitchCache::releaseRetired()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    if (activeReaders_ == 0)
-        retired_.clear();
-}
-
-void
-KeySwitchCache::retainReader() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    ++activeReaders_;
-}
-
-void
-KeySwitchCache::releaseReader() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    internalCheck(activeReaders_ > 0,
-                  "KeySwitchCache: reader underflow");
-    if (--activeReaders_ == 0)
-        retired_.clear();
-}
-
-u64
-KeySwitchCache::activeReaders() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return activeReaders_;
 }
 
 } // namespace cross::ckks

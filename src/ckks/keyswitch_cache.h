@@ -11,22 +11,22 @@
  * residency" the SHARP line of work motivates -- so each (key
  * identity, level) pair is built exactly once while resident.
  *
- * Identity and invalidation rules:
- *  - Entries are keyed by the *address* of the SwitchKey plus the
- *    level; callers should invalidate() when a SwitchKey is destroyed
- *    or mutated. As defence in depth each entry also records a content
- *    fingerprint of the key, and a lookup whose fingerprint disagrees
- *    rebuilds the entry in place -- so a *different* key re-using a
- *    dead key's address (temporaries, reallocated containers) is
- *    detected and served correctly rather than silently handed the
- *    stale operands.
- *  - get() is thread-safe; builds are serialised under the cache lock
- *    and the returned reference is address-stable until the retired
- *    list is reclaimed at a quiesce point -- a fingerprint-mismatch
- *    rebuild, an LRU eviction, invalidate() and clear() all *retire*
- *    the displaced precomp instead of destroying it (std::map nodes
- *    never move), so references fetched under a live ReaderGuard stay
- *    valid across every one of them.
+ * Identity and ownership rules:
+ *  - Entries are keyed by (SwitchKey::id(), level). The id is minted
+ *    when a key is built from digits and travels with every copy, and
+ *    a key's digits are read-only, so an id names one immutable set of
+ *    key material and two different keys never share an entry. A
+ *    moved-from key keeps its id but loses its digits, so
+ *    CkksEvaluator::precomputeKeySwitchShared checks digit coverage
+ *    before the lookup.
+ *  - get() hands out shared ownership of the precomp. Eviction,
+ *    invalidate() and clear() drop only the cache's own reference; a
+ *    caller holding the handle keeps the precomp alive and unchanged
+ *    for as long as it holds it, and the memory is freed when the last
+ *    handle goes. BatchEvaluator holds the handles it prefetches for
+ *    the length of each call, so nothing outlives the work that reads
+ *    it.
+ *  - get() is thread-safe; builds are serialised under the cache lock.
  *
  * Residency bound (the Fig. 11b VMEM roll-off, functionally):
  *  - setByteBudget(b) bounds the *resident* set by the summed
@@ -36,18 +36,9 @@
  *    switching key that rolled out of VMEM must be re-streamed. Set-D
  *    style many-level rotation-key sets therefore degrade
  *    deterministically instead of growing without bound.
- *  - An eviction moves the precomp to the retired list (the "host
- *    copy"): references already handed out stay valid, while the
- *    resident set -- what future lookups can hit -- stays within
- *    budget. Retired storage is reclaimed at a *quiesce point*: every
- *    evaluation that reads cached precomps holds a ReaderGuard
- *    (BatchEvaluator takes one around each batched key-switching
- *    entry point), and when the last guard drops the retired list is
- *    freed automatically -- no reference can still point into it.
- *    clear() and releaseRetired() reclaim immediately when the cache
- *    is quiesced, and otherwise leave the retired list for the last
- *    guard to free -- no entry point destroys storage a registered
- *    reader might still dereference.
+ *  - retiredBytes() reports the precomps that are no longer resident
+ *    but still held by a caller (tracked with weak references), so the
+ *    memory held outside the budget is observable.
  *  - A single precomp larger than the whole budget is still served
  *    (the alternative is livelock); it is evicted as soon as the next
  *    entry lands.
@@ -59,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -88,7 +78,11 @@ struct KeySwitchPrecomp
     size_t paramBytes() const;
 };
 
-/** Context-level (key identity, level) -> KeySwitchPrecomp cache. */
+/** Shared ownership of a precomp: stays valid while held, whatever
+ *  the cache evicts. */
+using PrecompPtr = std::shared_ptr<const KeySwitchPrecomp>;
+
+/** Context-level (key id, level) -> KeySwitchPrecomp cache. */
 class KeySwitchCache
 {
   public:
@@ -96,23 +90,16 @@ class KeySwitchCache
 
     /**
      * Return the resident precomp for (@p key_id, @p level), invoking
-     * @p build under the cache lock on the first request or when the
-     * resident entry's @p fingerprint disagrees (address re-used by a
-     * different key). Counts as a use for LRU purposes and may evict
-     * other entries when a byte budget is set.
+     * @p build under the cache lock on the first request. Counts as a
+     * use for LRU purposes and may evict other entries when a byte
+     * budget is set.
      */
-    const KeySwitchPrecomp &get(const void *key_id, u64 fingerprint,
-                                size_t level,
-                                const Builder &build) const;
+    PrecompPtr get(u64 key_id, size_t level, const Builder &build) const;
 
-    /** Drop every level cached for @p key_id from the resident set.
-     *  The displaced precomps are retired, not destroyed, while any
-     *  ReaderGuard is registered (reclaimed at quiesce). */
-    void invalidate(const void *key_id);
+    /** Drop every level cached for @p key_id from the resident set. */
+    void invalidate(u64 key_id);
 
-    /** Drop every resident entry. Retired storage (including the
-     *  entries just displaced) is freed immediately when no reader is
-     *  registered, and at the quiesce point otherwise. */
+    /** Drop every resident entry. */
     void clear();
 
     /**
@@ -128,104 +115,52 @@ class KeySwitchCache
     u64 hits() const;
     /** Lookups that had to build (== precomps constructed). */
     u64 misses() const;
-    /** Entries displaced by the LRU budget (not fingerprint rebuilds). */
+    /** Entries displaced by the LRU budget. */
     u64 evictions() const;
     /** Resident (key, level) entries. */
     size_t size() const;
     /** Summed paramBytes of the resident entries (<= byteBudget()
      *  whenever a budget is set and more than one entry ever fit). */
     size_t residentBytes() const;
-    /** Bytes parked on the retired list awaiting releaseRetired(). */
+    /** Summed paramBytes of precomps no longer resident but still held
+     *  by a caller. */
     size_t retiredBytes() const;
     /** Zero the hit/miss/eviction counters; resident entries stay. */
     void resetStats();
     /** @} */
 
-    /**
-     * Free retired precomps (from evictions, fingerprint rebuilds,
-     * invalidate() and clear()) if the cache is quiesced; a no-op
-     * while any ReaderGuard is registered (the last guard to drop
-     * reclaims automatically, so nothing is leaked by the no-op).
-     */
-    void releaseRetired();
-
-    /**
-     * RAII registration of an in-flight reader of cached precomps.
-     * While any guard is alive, retired precomps stay allocated (their
-     * references may still be read); when the last guard drops, the
-     * retired list is freed -- the quiesce point. BatchEvaluator holds
-     * one across every batched key-switching operation, and the
-     * serving engine holds one per open request stream (so the stream
-     * closing is the quiesce point for everything it read).
-     *
-     * Movable (a moved-from guard owns nothing and releases nothing),
-     * so owners like serving::ServingEngine::Stream can store one per
-     * stream; not copyable (a copy would double-release).
-     */
-    class ReaderGuard
-    {
-      public:
-        explicit ReaderGuard(const KeySwitchCache &cache) : cache_(&cache)
-        {
-            cache_->retainReader();
-        }
-        ~ReaderGuard()
-        {
-            if (cache_)
-                cache_->releaseReader();
-        }
-        ReaderGuard(ReaderGuard &&other) noexcept : cache_(other.cache_)
-        {
-            other.cache_ = nullptr;
-        }
-        ReaderGuard &operator=(ReaderGuard &&other) noexcept
-        {
-            if (this != &other) {
-                if (cache_)
-                    cache_->releaseReader();
-                cache_ = other.cache_;
-                other.cache_ = nullptr;
-            }
-            return *this;
-        }
-        ReaderGuard(const ReaderGuard &) = delete;
-        ReaderGuard &operator=(const ReaderGuard &) = delete;
-
-      private:
-        const KeySwitchCache *cache_;
-    };
-
-    /** In-flight ReaderGuard count (0 = quiesced). */
-    u64 activeReaders() const;
-
   private:
-    friend class ReaderGuard;
-
-    void retainReader() const;
-    /** Drops a reader; the last one out frees retired storage. */
-    void releaseReader() const;
+    using Slot = std::pair<u64, size_t>; ///< (key id, level)
 
     struct Entry
     {
-        u64 fingerprint = 0;
         u64 lastUse = 0;  ///< LRU tick of the most recent get()
         size_t bytes = 0; ///< pre->paramBytes(), cached
-        std::unique_ptr<KeySwitchPrecomp> pre;
+        PrecompPtr pre;
     };
+
+    /** A dropped precomp a caller may still hold. */
+    struct Held
+    {
+        std::weak_ptr<const KeySwitchPrecomp> pre;
+        size_t bytes = 0;
+    };
+
+    using Entries = std::map<Slot, Entry>;
 
     /** Evict LRU entries until the budget holds; m_ must be held.
      *  @p keep is the entry that must survive (the one being served). */
-    void enforceBudgetLocked(const void *keep_key, size_t keep_level) const;
+    void enforceBudgetLocked(const Slot &keep) const;
+    /** Erase @p it, releasing only the cache's reference (a holder
+     *  keeps the precomp, tracked in held_); m_ must be held. Returns
+     *  the next entry. */
+    Entries::iterator dropLocked(Entries::iterator it) const;
 
     mutable std::mutex m_;
-    mutable std::map<std::pair<const void *, size_t>, Entry> entries_;
-    /** Precomps displaced by evictions or fingerprint-mismatch
-     *  rebuilds: kept alive (address-stable) for readers that grabbed
-     *  them pre-displacement. */
-    mutable std::vector<std::unique_ptr<KeySwitchPrecomp>> retired_;
+    mutable Entries entries_;
+    mutable std::vector<Held> held_;
     mutable size_t budget_ = 0;
     mutable size_t residentBytes_ = 0;
-    mutable u64 activeReaders_ = 0;
     mutable u64 tick_ = 0;
     mutable u64 hits_ = 0;
     mutable u64 misses_ = 0;

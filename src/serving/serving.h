@@ -45,10 +45,11 @@
  *  - The queue is bounded: a submit() past maxQueueDepth is rejected
  *    with QueueFullError delivered through the returned future (the
  *    backpressure signal; the engine never blocks a submitter).
- *  - Every open Stream holds a KeySwitchCache::ReaderGuard, so
- *    precomp references stay valid for as long as the stream may
- *    read them, and retired precomp storage (LRU evictions under a
- *    byte budget) is reclaimed when the last stream quiesces.
+ *  - Key residency rests on ownership: each batch holds shared
+ *    handles to the KeySwitchCache precomps it reads until it
+ *    finishes, so an LRU eviction under a byte budget frees a precomp
+ *    as soon as the last batch reading it completes, whether or not
+ *    streams stay open.
  *
  * Results are bit-identical to running each request sequentially
  * through the scalar evaluator, whatever batches the dispatcher forms
@@ -73,6 +74,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -232,31 +234,25 @@ class ServingEngine
     ServingEngine &operator=(const ServingEngine &) = delete;
 
     /**
-     * One client's submission handle. Owns the stream's
-     * KeySwitchCache::ReaderGuard: while the stream is open, cached
-     * precomp references its requests read stay valid even across LRU
-     * evictions; closing (destroying) the last stream is the quiesce
-     * point where retired precomp storage is reclaimed. Movable, not
-     * copyable; a moved-from stream cannot submit.
+     * One client's submission handle: an id and the tenant it bills
+     * to. It holds no cache state -- each batch owns the precomps it
+     * reads for the length of its run -- so an open stream keeps
+     * nothing alive. Movable, not copyable; a moved-from stream cannot
+     * submit.
      */
     class Stream
     {
       public:
         Stream(Stream &&other) noexcept
-            : engine_(other.engine_), id_(other.id_),
-              tenant_(other.tenant_), guard_(std::move(other.guard_))
+            : engine_(std::exchange(other.engine_, nullptr)),
+              id_(other.id_), tenant_(other.tenant_)
         {
-            other.engine_ = nullptr;
         }
         Stream &operator=(Stream &&other) noexcept
         {
-            if (this != &other) {
-                guard_ = std::move(other.guard_);
-                engine_ = other.engine_;
-                id_ = other.id_;
-                tenant_ = other.tenant_;
-                other.engine_ = nullptr;
-            }
+            engine_ = std::exchange(other.engine_, nullptr);
+            id_ = other.id_;
+            tenant_ = other.tenant_;
             return *this;
         }
         Stream(const Stream &) = delete;
@@ -268,16 +264,14 @@ class ServingEngine
 
       private:
         friend class ServingEngine;
-        Stream(ServingEngine *engine, u64 id, u64 tenant,
-               const ckks::KeySwitchCache &cache)
-            : engine_(engine), id_(id), tenant_(tenant), guard_(cache)
+        Stream(ServingEngine *engine, u64 id, u64 tenant)
+            : engine_(engine), id_(id), tenant_(tenant)
         {
         }
 
         ServingEngine *engine_;
         u64 id_;
         u64 tenant_;
-        ckks::KeySwitchCache::ReaderGuard guard_;
     };
 
     /**

@@ -7,8 +7,9 @@
  * KeySwitchPrecomp exactly once per context -- asserted via the
  * KeySwitchCache hit/miss counters. Also covers mixed-level batches
  * picking the per-item level precomp, the pipeline schedule
- * enumerator, cache invalidation, and concurrent cache access from
- * independent application threads.
+ * enumerator, id-keyed cache identity and invalidation, precomps that
+ * stay valid in a holder's hands after the cache drops them, and
+ * concurrent cache access from independent application threads.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job (ctest -L fusion) exercises the residency cache's concurrent
@@ -310,7 +311,7 @@ TEST_F(FusionFixture, CacheInvalidateRebuildsIdentically)
     const auto before = batch.multiply(a, b, rlk);
     EXPECT_EQ(cache.misses(), 1u);
 
-    cache.invalidate(&rlk);
+    cache.invalidate(rlk.id());
     EXPECT_EQ(cache.size(), 0u);
     const auto after = batch.multiply(a, b, rlk);
     EXPECT_EQ(cache.misses(), 2u); // rebuilt once
@@ -320,34 +321,62 @@ TEST_F(FusionFixture, CacheInvalidateRebuildsIdentically)
     EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(FusionFixture, CacheDetectsAddressReuseByFingerprint)
+TEST_F(FusionFixture, ReassignedKeyVariableIsServedTheNewKey)
 {
-    // Entries are keyed by the key's address; if a SwitchKey dies and
-    // a *different* key lands at the same address, the recorded
-    // content fingerprint disagrees and the entry must be rebuilt
-    // instead of silently serving the dead key's operands.
-    KeySwitchCache cache;
-    const int dummy = 0; // stands in for a reused SwitchKey address
-    KeySwitchPrecomp first;
-    first.level = 7;
-    KeySwitchPrecomp second;
-    second.level = 9;
+    // Entries are keyed by the key's id, not its address: assigning a
+    // different key to the same SwitchKey object must be served the
+    // new key's operands, never the resident entry the old one built.
+    const u32 k1 = encoder.rotationAutomorphism(1);
+    const u32 k2 = encoder.rotationAutomorphism(2);
+    const auto a = encryptBatch(3, 19);
 
-    const auto &a =
-        cache.get(&dummy, 0x1111, 0, [&] { return first; });
-    EXPECT_EQ(a.level, 7u);
+    auto &cache = ctx.keySwitchCache();
+    cache.clear();
+    cache.resetStats();
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
+    const BatchEvaluator batch(ctx);
+
+    SwitchKey key = keygen.rotationKey(k1);
+    const u64 old_id = key.id();
+    (void)batch.rotate(a, k1, key); // (old id, top level) resident
+    key = keygen.rotationKey(k2);   // same object, different key
+    EXPECT_NE(key.id(), old_id);
+
+    CtVec want;
+    for (const auto &ct : a)
+        want.push_back(ev.rotate(ct, k2, key));
+    expectEqual(batch.rotate(a, k2, key), want);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST_F(FusionFixture, MovedFromKeyFailsBeforeTheCacheLookup)
+{
+    // A moved-from key keeps its id but not its digits. The digit
+    // coverage check runs before the lookup, so the resident entry its
+    // id still names cannot hide the empty key.
+    auto rlk = keygen.relinKey();
+    const auto a = encryptBatch(2, 35);
+    const auto b = encryptBatch(2, 36);
+
+    auto &cache = ctx.keySwitchCache();
+    cache.clear();
+    cache.resetStats();
+    setGlobalThreadCount(1);
+    const BatchEvaluator batch(ctx);
+    const auto want = batch.multiply(a, b, rlk); // (rlk, top) resident
     EXPECT_EQ(cache.misses(), 1u);
 
-    // Same address + same fingerprint: resident.
-    EXPECT_EQ(cache.get(&dummy, 0x1111, 0, [&] { return second; }).level,
-              7u);
-    EXPECT_EQ(cache.hits(), 1u);
+    const SwitchKey taken = std::move(rlk);
+    EXPECT_THROW(batch.multiply(a, b, rlk), std::invalid_argument);
+    EXPECT_THROW(batch.multiply(a, b, SwitchKey{}), std::invalid_argument);
+    EXPECT_EQ(cache.hits(), 0u); // neither reached the cache
 
-    // Same address, different fingerprint: rebuilt in place.
-    EXPECT_EQ(cache.get(&dummy, 0x2222, 0, [&] { return second; }).level,
-              9u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.size(), 1u);
+    // The moved-to key carries the id and is still served from cache.
+    expectEqual(batch.multiply(a, b, taken), want);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -368,35 +397,29 @@ TEST_F(FusionFixture, CacheLruEvictsOldestAndAccountsBytes)
 {
     KeySwitchCache cache;
     cache.setByteBudget(900); // room for two 400-byte precomps
-    const int a = 0, b = 0, c = 0; // three distinct key addresses
+    const u64 a = 1, b = 2, c = 3; // three distinct key ids
 
-    (void)cache.get(&a, 1, 0, [] { return syntheticPrecomp(1, 400); });
-    (void)cache.get(&b, 2, 0, [] { return syntheticPrecomp(2, 400); });
+    (void)cache.get(a, 0, [] { return syntheticPrecomp(1, 400); });
+    (void)cache.get(b, 0, [] { return syntheticPrecomp(2, 400); });
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.residentBytes(), 800u);
     EXPECT_EQ(cache.evictions(), 0u);
 
     // Touch a: b becomes the LRU victim when c lands.
-    EXPECT_EQ(cache.get(&a, 1, 0, [] {
-                          return syntheticPrecomp(9, 400);
-                      }).level,
+    EXPECT_EQ(cache.get(a, 0, [] { return syntheticPrecomp(9, 400); })->level,
               1u);
     EXPECT_EQ(cache.hits(), 1u);
 
-    (void)cache.get(&c, 3, 0, [] { return syntheticPrecomp(3, 400); });
+    (void)cache.get(c, 0, [] { return syntheticPrecomp(3, 400); });
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.evictions(), 1u);
     EXPECT_LE(cache.residentBytes(), 900u);
 
     // a survived (resident hit); b was evicted and must rebuild.
-    EXPECT_EQ(cache.get(&a, 1, 0, [] {
-                          return syntheticPrecomp(9, 400);
-                      }).level,
+    EXPECT_EQ(cache.get(a, 0, [] { return syntheticPrecomp(9, 400); })->level,
               1u);
     const u64 misses_before = cache.misses();
-    EXPECT_EQ(cache.get(&b, 2, 0, [] {
-                          return syntheticPrecomp(5, 400);
-                      }).level,
+    EXPECT_EQ(cache.get(b, 0, [] { return syntheticPrecomp(5, 400); })->level,
               5u);
     EXPECT_EQ(cache.misses(), misses_before + 1); // re-build after evict
     EXPECT_EQ(cache.evictions(), 2u); // c was the LRU this time
@@ -405,10 +428,10 @@ TEST_F(FusionFixture, CacheLruEvictsOldestAndAccountsBytes)
 TEST_F(FusionFixture, CacheBudgetShrinkAndOversizeEntryBehave)
 {
     KeySwitchCache cache;
-    const int a = 0, b = 0, c = 0;
-    (void)cache.get(&a, 1, 0, [] { return syntheticPrecomp(1, 400); });
-    (void)cache.get(&b, 2, 0, [] { return syntheticPrecomp(2, 400); });
-    (void)cache.get(&c, 3, 0, [] { return syntheticPrecomp(3, 400); });
+    const u64 a = 1, b = 2, c = 3;
+    (void)cache.get(a, 0, [] { return syntheticPrecomp(1, 400); });
+    (void)cache.get(b, 0, [] { return syntheticPrecomp(2, 400); });
+    (void)cache.get(c, 0, [] { return syntheticPrecomp(3, 400); });
     EXPECT_EQ(cache.residentBytes(), 1200u);
 
     // Shrinking the budget evicts immediately, oldest first.
@@ -417,57 +440,26 @@ TEST_F(FusionFixture, CacheBudgetShrinkAndOversizeEntryBehave)
     EXPECT_EQ(cache.evictions(), 2u);
     EXPECT_LE(cache.residentBytes(), 500u);
     // The survivor is the most recently used: c.
-    EXPECT_EQ(cache.get(&c, 3, 0, [] {
-                          return syntheticPrecomp(9, 400);
-                      }).level,
+    EXPECT_EQ(cache.get(c, 0, [] { return syntheticPrecomp(9, 400); })->level,
               3u);
 
     // A single entry larger than the whole budget is still served
     // (never evicted while it is the only entry)...
-    const int big = 0;
-    const auto &served = cache.get(
-        &big, 4, 0, [] { return syntheticPrecomp(7, 4000); });
-    EXPECT_EQ(served.level, 7u);
+    const u64 big = 4;
+    auto served = cache.get(big, 0, [] { return syntheticPrecomp(7, 4000); });
+    EXPECT_EQ(served->level, 7u);
     EXPECT_EQ(cache.size(), 1u);
     // ...and rolls out as soon as the next entry lands.
-    (void)cache.get(&a, 1, 0, [] { return syntheticPrecomp(1, 400); });
+    (void)cache.get(a, 0, [] { return syntheticPrecomp(1, 400); });
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_LE(cache.residentBytes(), 500u);
 
-    // Retired storage is reclaimable once no readers are in flight.
-    EXPECT_GT(cache.retiredBytes(), 0u);
-    cache.releaseRetired();
+    // The evicted precomp lives on in its holder's hands, counted as
+    // retired until the handle goes.
+    EXPECT_EQ(served->level, 7u);
+    EXPECT_EQ(cache.retiredBytes(), served->paramBytes());
+    served.reset();
     EXPECT_EQ(cache.retiredBytes(), 0u);
-}
-
-TEST_F(FusionFixture, CacheFingerprintGuardFiresAfterEvictedSlotReuse)
-{
-    // A key evicted by the LRU, then a *different* key reusing its
-    // address: the re-inserted entry must carry the new fingerprint,
-    // and the guard must still detect a later content change.
-    KeySwitchCache cache;
-    cache.setByteBudget(900);
-    const int addr = 0, other = 0;
-
-    (void)cache.get(&addr, 0xaaaa, 0,
-                    [] { return syntheticPrecomp(1, 400); });
-    (void)cache.get(&other, 0xbbbb, 0,
-                    [] { return syntheticPrecomp(2, 400); });
-    (void)cache.get(&other, 0xbbbb, 1,
-                    [] { return syntheticPrecomp(3, 400); });
-    EXPECT_EQ(cache.evictions(), 1u); // addr rolled out
-
-    // addr's slot is reused by a different key (new fingerprint): the
-    // rebuild serves the new contents, not a stale entry.
-    EXPECT_EQ(cache.get(&addr, 0xcccc, 0, [] {
-                          return syntheticPrecomp(4, 400);
-                      }).level,
-              4u);
-    // And the in-place fingerprint guard still fires on that slot.
-    EXPECT_EQ(cache.get(&addr, 0xdddd, 0, [] {
-                          return syntheticPrecomp(5, 400);
-                      }).level,
-              5u);
 }
 
 TEST_F(FusionFixture, BoundedCacheKeepsBatchResultsBitIdentical)
@@ -587,40 +579,69 @@ TEST_F(FusionFixture, PipelineRejectsBadShapes)
 }
 
 // ---------------------------------------------------------------------
-// ReaderGuard lifecycle + exception-safe quiesce (serving regressions)
+// Ownership: precomps outlive the cache's reference, never the holder's
 // ---------------------------------------------------------------------
-TEST_F(FusionFixture, ReaderGuardMoveReleasesExactlyOnce)
+TEST_F(FusionFixture, HeldPrecompSurvivesEvictionInvalidateAndClear)
 {
-    KeySwitchCache cache;
-    cache.setByteBudget(500);
-    const int first = 0, second = 0;
-    (void)cache.get(&first, 1, 0, [] { return syntheticPrecomp(1, 400); });
+    const auto rlk = keygen.relinKey();
+    const auto rot_key = keygen.rotationKey(encoder.rotationAutomorphism(1));
+    const auto a = encryptBatch(2, 33);
+    const auto b = encryptBatch(2, 34);
+    const size_t level = ctx.qCount() - 1;
 
-    {
-        KeySwitchCache::ReaderGuard outer(cache);
-        EXPECT_EQ(cache.activeReaders(), 1u);
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
+    CtVec want;
+    for (size_t i = 0; i < a.size(); ++i)
+        want.push_back(ev.multiply(a[i], b[i], rlk));
+    const auto expectServes = [&](const KeySwitchPrecomp &pre) {
+        CtVec got;
+        for (size_t i = 0; i < a.size(); ++i)
+            got.push_back(ev.multiply(a[i], b[i], pre));
+        expectEqual(got, want);
+    };
 
-        // Evict while the reader is registered: storage is retired.
-        (void)cache.get(&second, 2, 0,
-                        [] { return syntheticPrecomp(2, 400); });
-        EXPECT_GT(cache.retiredBytes(), 0u);
+    auto &cache = ctx.keySwitchCache();
+    cache.setByteBudget(0);
+    cache.clear();
+    cache.resetStats();
+    auto evicted = ev.precomputeKeySwitchShared(rlk, level);
+    const size_t bytes = evicted->paramBytes();
+    EXPECT_EQ(cache.retiredBytes(), 0u); // resident, not retired
 
-        KeySwitchCache::ReaderGuard moved(std::move(outer));
-        EXPECT_EQ(cache.activeReaders(), 1u); // transferred, not added
-        {
-            KeySwitchCache::ReaderGuard extra(cache);
-            EXPECT_EQ(cache.activeReaders(), 2u);
-            extra = std::move(moved); // releases extra's registration
-            EXPECT_EQ(cache.activeReaders(), 1u);
-            EXPECT_GT(cache.retiredBytes(), 0u); // one reader remains
-        } // the moved-to guard drops the single registration...
-        EXPECT_EQ(cache.activeReaders(), 0u);
-        EXPECT_EQ(cache.retiredBytes(), 0u); // ...the quiesce point
-    } // moved-from guards must release nothing (no underflow)
-    EXPECT_EQ(cache.activeReaders(), 0u);
+    // Eviction: a one-precomp budget, and the rotation key lands.
+    cache.setByteBudget(bytes);
+    (void)ev.precomputeKeySwitchShared(rot_key, level);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.retiredBytes(), bytes);
+    cache.setByteBudget(0);
+
+    // invalidate() drops a freshly rebuilt entry by id...
+    auto invalidated = ev.precomputeKeySwitchShared(rlk, level);
+    cache.invalidate(rlk.id());
+    EXPECT_EQ(cache.retiredBytes(), 2 * bytes);
+
+    // ...and clear() drops every entry.
+    auto cleared = ev.precomputeKeySwitchShared(rlk, level);
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    EXPECT_EQ(cache.retiredBytes(), 3 * bytes);
+    EXPECT_EQ(cache.misses(), 4u);
+
+    // Every handle still reads its precomp, bit-identically.
+    expectServes(*evicted);
+    expectServes(*invalidated);
+    expectServes(*cleared);
+
+    evicted.reset();
+    invalidated.reset();
+    EXPECT_EQ(cache.retiredBytes(), bytes);
+    cleared.reset();
+    EXPECT_EQ(cache.retiredBytes(), 0u);
 }
 
-TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
+TEST_F(FusionFixture, ThrowingRunsLeaveNoPrecompHeld)
 {
     const u32 k1 = encoder.rotationAutomorphism(1);
     const u32 k2 = encoder.rotationAutomorphism(2);
@@ -631,6 +652,13 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
     Pipeline p1, p2;
     p1.rotate(k1, key1);
     p2.rotate(k2, key2);
+    // Prefetches both keys' precomps (the second evicts the first
+    // under a one-precomp budget), then fails its prevalidation walk
+    // by draining the modulus chain.
+    Pipeline bad;
+    bad.rotate(k1, key1).rotate(k2, key2);
+    for (int i = 0; i < 5; ++i)
+        bad.rescale();
 
     setGlobalThreadCount(1);
     CkksEvaluator ev(ctx);
@@ -649,29 +677,19 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
         cache.clear();
         cache.resetStats();
         expectEqual(batch.run(a, p1), want1);
-        // Budget sized to one precomp: serving key2 retires key1's.
+        // Budget sized to one precomp: serving key2 evicts key1's.
         cache.setByteBudget(cache.residentBytes());
-        {
-            KeySwitchCache::ReaderGuard stream(cache);
-            (void)batch.run(a, p2);
-            EXPECT_GT(cache.retiredBytes(), 0u);
+        (void)batch.run(a, p2);
+        EXPECT_GT(cache.evictions(), 0u);
 
-            // A prevalidation failure (pipeline drains the chain)...
-            Pipeline bad;
-            for (int i = 0; i < 5; ++i)
-                bad.rescale();
-            EXPECT_THROW(batch.run(a, bad), std::invalid_argument);
-            // ...and a mid-parallel-region failure (item 1 cannot
-            // rescale): both must unwind the engine's own reader
-            // registration, leaving only ours, and must not free
-            // retired storage our guard may still reference.
-            EXPECT_THROW(batch.rescale(drained), std::invalid_argument);
-            EXPECT_EQ(cache.activeReaders(), 1u);
-            EXPECT_GT(cache.retiredBytes(), 0u);
-        }
-        // The guard dropping is the quiesce point.
-        EXPECT_EQ(cache.activeReaders(), 0u);
+        // A prevalidation failure holding a precomp the cache evicted
+        // meanwhile...
+        EXPECT_THROW(batch.run(a, bad), std::invalid_argument);
+        // ...and a mid-parallel-region failure (item 1 cannot
+        // rescale): unwinding either must release every handle.
+        EXPECT_THROW(batch.rescale(drained), std::invalid_argument);
         EXPECT_EQ(cache.retiredBytes(), 0u);
+        EXPECT_LE(cache.residentBytes(), cache.byteBudget());
         // The engine still runs bit-identically after the failures.
         expectEqual(batch.run(a, p1), want1);
     }
@@ -697,8 +715,8 @@ TEST_F(FusionFixture, RotateAccumValidatesBranchKeysBeforeAnyWork)
     // A wrong-level branch key -- digits that cannot cover the items'
     // level -- fails the prevalidation walk before any precomp is
     // prefetched or parallel work starts.
-    auto bad = keygen.rotationKey(k2);
-    bad.digits.resize(1);
+    const auto full = keygen.rotationKey(k2);
+    const SwitchKey bad({full.digits().front()});
     Pipeline wrong_level;
     wrong_level.rotateAccum({{k1, &key1}, {k2, &bad}});
     auto &cache = ctx.keySwitchCache();
@@ -706,7 +724,6 @@ TEST_F(FusionFixture, RotateAccumValidatesBranchKeysBeforeAnyWork)
     cache.resetStats();
     EXPECT_THROW(batch.run(a, wrong_level), std::invalid_argument);
     EXPECT_EQ(cache.misses(), 0u); // fail-fast: nothing was prefetched
-    EXPECT_EQ(cache.activeReaders(), 0u);
 
     // The same wrong-level key through the single-rotate stage.
     Pipeline rot;

@@ -5,8 +5,8 @@
  * to the sequential per-request reference whatever batches the
  * dispatcher forms; batch forming must coalesce by (model, level,
  * scale); the bounded queue must reject-with-error past its depth;
- * shutdown must drain; and per-stream ReaderGuards must make stream
- * close the quiesce point that reclaims retired precomp storage.
+ * shutdown must drain; and an open stream must hold no precomp the
+ * LRU-bounded residency cache has evicted.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L serving) drive concurrent submitter
@@ -430,7 +430,7 @@ TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
     EXPECT_THROW(engine.submit(stream, p, Ciphertext{}),
                  std::invalid_argument);
 
-    // A moved-from stream no longer owns its reader registration.
+    // A moved-from stream can no longer submit.
     auto moved = std::move(stream);
     EXPECT_THROW(engine.submit(stream, p, inputs[0]),
                  std::invalid_argument);
@@ -438,9 +438,9 @@ TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
 }
 
 // ---------------------------------------------------------------------
-// Stream quiesce reclaims retired precomp storage
+// An open stream holds nothing the cache evicted
 // ---------------------------------------------------------------------
-TEST_F(ServingFixture, StreamCloseIsTheQuiescePointForRetiredPrecomps)
+TEST_F(ServingFixture, OpenStreamHoldsNoEvictedPrecomps)
 {
     const u32 k1 = encoder.rotationAutomorphism(1);
     const u32 k2 = encoder.rotationAutomorphism(2);
@@ -451,37 +451,34 @@ TEST_F(ServingFixture, StreamCloseIsTheQuiescePointForRetiredPrecomps)
     p1.rotate(k1, key1);
     p2.rotate(k2, key2);
 
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
+    const Ciphertext want1 = ev.rotate(inputs[1], k1, key1);
+    const Ciphertext want2 = ev.rotate(inputs[0], k2, key2);
+
     auto &cache = ctx.keySwitchCache();
     cache.setByteBudget(0);
     cache.clear();
     cache.resetStats();
-
-    setGlobalThreadCount(1);
     // Budget sized to a single precomp: serving the other key evicts
-    // (retires) the resident one.
+    // the resident one.
     {
         const BatchEvaluator warm(ctx);
         (void)warm.run(inputs, p1);
     }
     cache.setByteBudget(cache.residentBytes());
-    cache.releaseRetired();
 
     ServingEngine engine(ctx);
-    std::optional<ServingEngine::Stream> stream{engine.openStream()};
-    for (int round = 0; round < 2; ++round) {
-        (void)engine.submit(*stream, p2, inputs[0]).get();
-        (void)engine.submit(*stream, p1, inputs[1]).get();
+    auto stream = engine.openStream();
+    for (int round = 0; round < 4; ++round) {
+        expectEqual(engine.submit(stream, p2, inputs[0]).get(), want2);
+        expectEqual(engine.submit(stream, p1, inputs[1]).get(), want1);
     }
-    // Every eviction retired a precomp the open stream may still
-    // reference; with its ReaderGuard registered, nothing was freed.
+    // Every batch released its precomps when it finished, so with the
+    // stream still open the evicted ones are already freed.
     EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_GT(cache.retiredBytes(), 0u);
-    EXPECT_EQ(cache.activeReaders(), 1u);
-
-    // Closing the last stream is the quiesce point.
-    stream.reset();
-    EXPECT_EQ(cache.activeReaders(), 0u);
     EXPECT_EQ(cache.retiredBytes(), 0u);
+    EXPECT_LE(cache.residentBytes(), cache.byteBudget());
     cache.setByteBudget(0);
 }
 
@@ -521,10 +518,9 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
         const BatchEvaluator warm(ctx);
         (void)warm.run(inputs[0], p1);
     }
-    // Tight budget: the two keys' precomps keep evicting each other,
-    // exercising retire/reclaim under concurrent readers.
+    // Tight budget: the two keys' precomps keep evicting each other
+    // while concurrent batches still hold them.
     cache.setByteBudget(cache.residentBytes());
-    cache.releaseRetired();
 
     setGlobalThreadCount(testThreads());
     {
@@ -553,10 +549,7 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
         EXPECT_EQ(st.rejected, 0u);
         EXPECT_EQ(st.batchedRequests, submitters * per_thread);
     }
-    // All streams closed and the engine drained: the cache must be
-    // quiesced with every retired precomp reclaimed.
-    EXPECT_EQ(cache.activeReaders(), 0u);
-    cache.releaseRetired();
+    // The engine drained: no batch holds an evicted precomp any more.
     EXPECT_EQ(cache.retiredBytes(), 0u);
     cache.setByteBudget(0);
 }
