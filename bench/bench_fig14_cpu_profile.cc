@@ -156,7 +156,8 @@ main(int argc, char **argv)
                  "operators; VecMod* for most of the rest. The same "
                  "kernels dominate both schemes here, which is the "
                  "premise of accelerating exactly these five kernels.\n"
-              << "(BFV multiply's t/Q scale-down is counted under "
-                 "BasisChange; see src/bfv/bfv.h.)\n";
+              << "(BFV multiply's t/Q scale-down, an RNS "
+                 "scale-and-round from Q u B to Q, is counted under "
+                 "BasisChange; see src/bfv/scale_round.h.)\n";
     return rep.flush() ? 0 : 1;
 }

@@ -59,6 +59,17 @@ BfvContext::BfvContext(BfvParams params)
 
     qToB_ = std::make_unique<rns::BasisConversion>(qBasis_,
                                                    rns::RnsBasis(b_moduli));
+    digitConv_.reserve(params_.limbs);
+    for (size_t i = 0; i < params_.limbs; ++i) {
+        std::vector<u64> rest = q_moduli;
+        rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+        digitConv_.emplace_back(rns::RnsBasis({q_moduli[i]}),
+                                rns::RnsBasis(std::move(rest)));
+    }
+    scaleDown_ = std::make_unique<ScaleRound>(qbBasis_, params_.limbs, t_,
+                                              q_moduli);
+    decryptScale_ = std::make_unique<ScaleRound>(
+        qBasis_, params_.limbs, t_, std::vector<u64>{t_});
 }
 
 BfvPlaintext
@@ -212,19 +223,13 @@ BfvEvaluator::decrypt(const BfvCiphertext &ct, const BfvSecretKey &sk) const
     w.addInPlace(ct.c0);
     w.toCoeff();
 
-    // m = round(t * w / Q) mod t, exactly per coefficient.
-    const auto &basis = ctx_.qBasis();
-    const u32 t = ctx_.plainModulus();
+    // m = round(t * w / Q) mod t.
     BfvPlaintext pt;
     pt.coeffs.resize(ctx_.degree());
-    std::vector<u64> residues(l);
-    for (u32 j = 0; j < ctx_.degree(); ++j) {
-        for (size_t i = 0; i < l; ++i)
-            residues[i] = w.limb(i)[j];
-        const BigUInt x = basis.compose(residues);
-        const BigUInt y = (x * t).divRound(ctx_.bigQ());
-        pt.coeffs[j] = static_cast<u32>(y.modSmall(t));
-    }
+    std::vector<const u32 *> in(l);
+    for (size_t i = 0; i < l; ++i)
+        in[i] = w.limb(i).data();
+    ctx_.decryptScale().apply(in, {pt.coeffs.data()}, ctx_.degree());
     return pt;
 }
 
@@ -312,35 +317,24 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     d1.addInPlace(d1b);
     logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0, ta.seconds());
 
-    // Scale by t/Q: exact reference implementation over the composed
-    // integers (the RNS flow around it is what the kernels measure).
-    WallTimer ts;
+    // Scale by t/Q in RNS: Q u B -> Q.
+    WallTimer ti;
     RnsPoly *tensor[3] = {&d0, &d1, &d2};
+    for (RnsPoly *d : tensor)
+        d->toCoeff();
+    logCall(KernelKind::Intt, static_cast<u32>(3 * full), 0, ti.seconds());
+    WallTimer ts;
     RnsPoly scaled[3] = {RnsPoly(ctx_.ring(), l, false),
                          RnsPoly(ctx_.ring(), l, false),
                          RnsPoly(ctx_.ring(), l, false)};
-    const auto &qb = ctx_.qbBasis();
-    const BigUInt &big_qb = qb.bigModulus();
-    const u32 t = ctx_.plainModulus();
     for (int comp = 0; comp < 3; ++comp) {
-        tensor[comp]->toCoeff();
-        std::vector<u64> residues(full);
-        for (u32 j = 0; j < n; ++j) {
-            for (size_t i = 0; i < full; ++i)
-                residues[i] = tensor[comp]->limb(i)[j];
-            BigUInt x = qb.compose(residues);
-            // Center modulo Q*B, scale, round.
-            const bool neg = (x + x).compare(big_qb) > 0;
-            if (neg)
-                x = big_qb - x;
-            const BigUInt y = (x * t).divRound(ctx_.bigQ());
-            for (size_t i = 0; i < l; ++i) {
-                const u64 q = ctx_.ring().modulus(i);
-                const u64 r = y.modSmall(q);
-                scaled[comp].limb(i)[j] =
-                    static_cast<u32>(neg ? nt::negMod(r, q) : r);
-            }
-        }
+        std::vector<const u32 *> in(full);
+        std::vector<u32 *> out(l);
+        for (size_t i = 0; i < full; ++i)
+            in[i] = tensor[comp]->limb(i).data();
+        for (size_t i = 0; i < l; ++i)
+            out[i] = scaled[comp].limb(i).data();
+        ctx_.scaleDown().apply(in, out, n);
     }
     logCall(KernelKind::BConv, static_cast<u32>(3 * full),
             static_cast<u32>(3 * l), ts.seconds());
@@ -368,8 +362,9 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
 {
     requireThat(c.isEval(), "BFV keySwitch: input must be in eval domain");
     const size_t l = c.limbCount();
+    requireThat(l == ctx_.qCount(),
+                "BFV keySwitch: input must span the Q basis");
     requireThat(swk.digits.size() >= l, "BFV keySwitch: missing digits");
-    const u32 n = ctx_.degree();
 
     WallTimer ti;
     RnsPoly c_coeff = c;
@@ -381,14 +376,8 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
     for (size_t i = 0; i < l; ++i) {
         // Digit i: limb i exact, converted to the other q limbs.
         WallTimer tb;
-        std::vector<u64> from = {ctx_.ring().modulus(i)};
-        std::vector<u64> to;
-        for (size_t j = 0; j < l; ++j)
-            if (j != i)
-                to.push_back(ctx_.ring().modulus(j));
-        rns::BasisConversion conv{rns::RnsBasis(from), rns::RnsBasis(to)};
         rns::LimbMatrix in = {c_coeff.limb(i)}, out;
-        conv.apply(in, out);
+        ctx_.digitConversion(i).apply(in, out);
         logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1),
                 tb.seconds());
 
@@ -421,8 +410,7 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
         logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0,
                 tadd.seconds());
     }
-    (void)n;
-    return {acc0, acc1};
+    return {std::move(acc0), std::move(acc1)};
 }
 
 BfvCiphertext

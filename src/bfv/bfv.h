@@ -9,13 +9,13 @@
  * same kernel family the paper accelerates -- (I)NTT, BConv, VecMod* --
  * plus BFV multiplication's basis extension and scale-down.
  *
- * Implementation notes (documented substitutions, not shortcuts in the
- * kernel schedule):
+ * Implementation notes:
  *  - Multiplication extends both ciphertexts from basis Q to Q u B via
  *    the production BConv kernels, tensors in the evaluation domain,
- *    and scales the result by t/Q exactly per coefficient with BigUInt
- *    (a reference implementation of the BEHZ/HPS scale-down; the RNS
- *    kernels around it are the ones the profiling measures).
+ *    and scales the result by t/Q with the exact RNS scale-and-round of
+ *    bfv/scale_round.h (Halevi-Polyakov-Shoup), which decryption shares.
+ *    Its output equals the big-integer round(t*x/Q) for every
+ *    coefficient; near-ties fall back to BigUInt.
  *  - Relinearisation / rotation use per-limb RNS gadget decomposition
  *    (dnum = L), the classic no-auxiliary-modulus hybrid special case.
  *  - Batching encodes Z_t^N via an NTT modulo t (t == 1 mod 2N).
@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "bfv/scale_round.h"
 #include "ckks/kernel_log.h"
 #include "common/rng.h"
 #include "nt/bigint.h"
@@ -70,6 +71,16 @@ class BfvContext
 
     /** Q -> B conversion (multiplication ModUp). */
     const rns::BasisConversion &qToB() const { return *qToB_; }
+    /** Key-switch digit i: {q_i} -> the other Q limbs, in order. */
+    const rns::BasisConversion &digitConversion(size_t i) const
+    {
+        return digitConv_[i];
+    }
+
+    /** Q u B -> Q scale-and-round by t/Q (multiplication scale-down). */
+    const ScaleRound &scaleDown() const { return *scaleDown_; }
+    /** Q -> {t} scale-and-round by t/Q (decryption). */
+    const ScaleRound &decryptScale() const { return *decryptScale_; }
 
     /** The Q-basis as an RnsBasis (for CRT composition). */
     const rns::RnsBasis &qBasis() const { return qBasis_; }
@@ -87,6 +98,9 @@ class BfvContext
     rns::RnsBasis qBasis_;
     rns::RnsBasis qbBasis_;
     std::unique_ptr<rns::BasisConversion> qToB_;
+    std::vector<rns::BasisConversion> digitConv_;
+    std::unique_ptr<ScaleRound> scaleDown_;
+    std::unique_ptr<ScaleRound> decryptScale_;
 };
 
 /** Plaintext: slot values in Z_t. */

@@ -725,13 +725,16 @@ TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
     ServingEngine engine(ctx, cfg);
     auto stream = engine.openStream();
 
-    auto doomed = engine.submit(stream, p, inputs[0], {.deadlineUs = 1});
+    // 50 ms is far enough out to be admitted even under a sanitizer,
+    // where a 1 us deadline has already passed by the admission check.
+    auto doomed =
+        engine.submit(stream, p, inputs[0], {.deadlineUs = 50'000});
     auto ok = engine.submit(stream, p, inputs[1]);
     EXPECT_EQ(engine.queueDepth(), 2u);
-    // Let the 1 us deadline pass while the engine is paused, then
-    // release the dispatcher: it must shed the expired request instead
-    // of spending a batch slot on it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Let the deadline pass while the engine is paused, then release
+    // the dispatcher: it must shed the expired request instead of
+    // spending a batch slot on it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
     engine.resume();
 
     EXPECT_THROW(doomed.get(), DeadlineError);

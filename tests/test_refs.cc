@@ -87,6 +87,36 @@ negacyclicMulKaratsuba(const std::vector<u32> &a, const std::vector<u32> &b,
     return z;
 }
 
+std::vector<std::vector<u32>>
+scaleRoundBigUInt(const rns::RnsBasis &basis, size_t q_count, u64 t,
+                  const std::vector<u64> &out_moduli,
+                  const std::vector<std::vector<u32>> &in)
+{
+    internalCheck(in.size() == basis.size(), "scaleRound: limb count");
+    const nt::BigUInt big_q = basis.subBasis(0, q_count).bigModulus();
+    const nt::BigUInt &big_m = basis.bigModulus();
+    const size_t n = in.empty() ? 0 : in[0].size();
+    std::vector<std::vector<u32>> out(out_moduli.size(),
+                                      std::vector<u32>(n));
+    std::vector<u64> residues(in.size());
+    for (size_t j = 0; j < n; ++j) {
+        for (size_t k = 0; k < in.size(); ++k)
+            residues[k] = in[k][j];
+        nt::BigUInt x = basis.compose(residues);
+        // Centre modulo M, scale, round.
+        const bool neg = (x + x).compare(big_m) > 0;
+        if (neg)
+            x = big_m - x;
+        const nt::BigUInt y = (x * t).divRound(big_q);
+        for (size_t i = 0; i < out_moduli.size(); ++i) {
+            const u64 o = out_moduli[i];
+            const u64 r = y.modSmall(o);
+            out[i][j] = static_cast<u32>(neg ? nt::negMod(r, o) : r);
+        }
+    }
+    return out;
+}
+
 std::vector<u32>
 randomPoly(u32 n, u64 q, u64 seed)
 {

@@ -5,13 +5,14 @@
  * Ground-truth code that multiple suites compare against lives here --
  * not in the product library -- so the `cross` library ships no
  * test-only code and every suite checks against the *same* reference.
- * Used by poly_test, crossntt_test and the BAT property tests.
+ * Used by poly_test, crossntt_test, bfv_test and the BAT property tests.
  */
 #pragma once
 
 #include <vector>
 
 #include "common/types.h"
+#include "rns/basis.h"
 
 namespace cross::testref {
 
@@ -29,6 +30,18 @@ std::vector<u32> negacyclicMulSchoolbook(const std::vector<u32> &a,
  */
 std::vector<u32> negacyclicMulKaratsuba(const std::vector<u32> &a,
                                         const std::vector<u32> &b, u64 q);
+
+/**
+ * Reference BFV t/Q scale-and-round, one BigUInt per coefficient: for
+ * x_j = CRT(in[0][j], in[1][j], ...) over @p basis, centred into
+ * (-M/2, M/2), returns out[i][j] = [round(t * x_j / Q)]_{out_moduli[i]}
+ * with Q = the product of the first @p q_count moduli. Ground truth for
+ * bfv::ScaleRound (multiplication scale-down and decryption).
+ */
+std::vector<std::vector<u32>>
+scaleRoundBigUInt(const rns::RnsBasis &basis, size_t q_count, u64 t,
+                  const std::vector<u64> &out_moduli,
+                  const std::vector<std::vector<u32>> &in);
 
 /** Deterministic uniform coefficient vector in [0, q)^n. */
 std::vector<u32> randomPoly(u32 n, u64 q, u64 seed);
