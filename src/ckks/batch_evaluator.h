@@ -14,30 +14,27 @@
  * items, while the per-item work runs across the global thread pool
  * (common/parallel.h).
  *
- * Two amortisation axes:
- *  - across *items*: one precomp serves every ciphertext of a batch
- *    (the per-operator entry points below);
- *  - across *operators*: run(Pipeline) takes a small operator
- *    sequence (e.g. Mult -> Rescale -> Rotate, the shapes the
- *    bootstrap schedule chains), prebuilds every (key, level)
- *    precomp the whole pipeline will touch, then streams each item
- *    through all stages -- no per-stage setup, no intermediate
- *    batch-wide barriers.
+ * BatchEvaluator::run(Pipeline) is the one batched executor: it takes
+ * a small operator sequence (e.g. Mult -> Rescale -> Rotate, the
+ * shapes the bootstrap schedule chains; a single operator is a
+ * one-stage pipeline), prebuilds every (key, level) precomp the whole
+ * pipeline will touch -- one precomp serves every item of the batch --
+ * then streams each item through all stages: no per-stage setup, no
+ * intermediate batch-wide barriers. runPipelineSequential() is the one
+ * sequential reference it is checked against.
  *
  * Guarantees:
- *  - Results are bit-identical to looping CkksEvaluator over the
- *    items (and, for run(), over the stages), at any thread count
+ *  - Results are bit-identical to runPipelineSequential (item by item,
+ *    stage by stage, one-shot SwitchKey paths) at any thread count
  *    (including 1, the default).
  *  - The KernelLog is deterministic: each item records into a private
  *    log and the logs are merged in item order, so a parallel batched
- *    run logs exactly what a sequential run logs. For run() the
- *    per-item log covers the whole pipeline, matching the sequential
- *    "all stages for item 0, then item 1, ..." order, and matching
- *    enumerateKernels(pipeline.ops(), ...) stage by stage.
+ *    run logs exactly what the sequential reference logs ("all stages
+ *    for item 0, then item 1, ..."), and each item's log matches
+ *    enumerateKernels(pipeline.pipelineOps(), ...).
  */
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "ckks/ciphertext.h"
@@ -85,7 +82,7 @@ struct PipelineStage
  * operand (present, chain covering level+1 limbs) and throws
  * std::invalid_argument otherwise. Shared by BatchEvaluator::run's
  * prevalidation walk, its execution loop and the sequential reference
- * interpreters, so the checked selection logic cannot diverge.
+ * interpreter, so the checked selection logic cannot diverge.
  */
 const Plaintext &pipelineStagePlain(const PipelineStage &st, size_t level);
 
@@ -157,21 +154,15 @@ class Pipeline
     const std::vector<PipelineStage> &stages() const { return stages_; }
     bool empty() const { return stages_.empty(); }
 
-    /** Operator sequence for the schedule enumerator / cost model
-     *  (one entry per stage; a RotateAccum stage appears once -- use
-     *  pipelineOps() when branch arity matters). */
-    std::vector<HeOp> ops() const;
-
-    /** Structural form: op + fan-in per stage, the shape
-     *  enumerateKernels(vector<PipelineOp>, ...) and
-     *  HeOpCostModel::pipelineCost price. */
+    /** Op + fan-in per stage: the one shape the schedule enumerator
+     *  (enumerateKernels) and HeOpCostModel::pipelineCost price. */
     std::vector<PipelineOp> pipelineOps() const;
 
   private:
     std::vector<PipelineStage> stages_;
 };
 
-/** Applies HE operators (or whole pipelines) across ciphertext vectors. */
+/** Applies fused pipelines across ciphertext vectors. */
 class BatchEvaluator
 {
   public:
@@ -183,61 +174,38 @@ class BatchEvaluator
 
     using CtVec = cross::ckks::CtVec;
 
-    /** @name Element-wise batched operators. @{ */
-    CtVec add(const CtVec &a, const CtVec &b) const;
-    CtVec sub(const CtVec &a, const CtVec &b) const;
-    /** a[i] * b[i] with one resident relin-key precomp per level. */
-    CtVec multiply(const CtVec &a, const CtVec &b,
-                   const SwitchKey &rlk) const;
-    CtVec rescale(const CtVec &cts) const;
-    CtVec rescaleMulti(const CtVec &cts) const;
-    /** Rotate every item by the same step (one resident key precomp +
-     *  one warm automorphism map per level). */
-    CtVec rotate(const CtVec &cts, u32 auto_idx,
-                 const SwitchKey &rot_key) const;
-    CtVec addPlain(const CtVec &cts, const Plaintext &pt) const;
-    CtVec multiplyPlain(const CtVec &cts, const Plaintext &pt) const;
-    /** @} */
-
     /**
      * Fused pipeline: apply every stage of @p pipeline to each item of
      * @p input, building each (key, level) KeySwitchPrecomp the whole
      * pipeline needs exactly once up front (served from the context's
      * residency cache), then streaming every item through all stages
      * with no intermediate batch barrier. Results and the merged
-     * KernelLog are bit-identical to the sequential loop
-     *
-     *     for i: for stage: out[i] = evaluator.stage(out[i], ...)
-     *
-     * at any thread count. Mixed-level inputs pick the per-item level
-     * precomp at every stage.
+     * KernelLog are bit-identical to runPipelineSequential at any
+     * thread count. Mixed-level inputs pick the per-item level precomp
+     * at every stage.
      */
     CtVec run(const CtVec &input, const Pipeline &pipeline) const;
 
     const CkksContext &context() const { return ctx_; }
 
   private:
-    /**
-     * Run fn(evaluator, i) for each item with a per-item KernelLog,
-     * parallel across the global pool, then merge the logs in item
-     * order into log_.
-     */
-    CtVec mapBatch(
-        size_t count,
-        const std::function<Ciphertext(const CkksEvaluator &, size_t)>
-            &fn) const;
-
-    /**
-     * One shared KeySwitchPrecomp per distinct level in @p levels
-     * (fetched from the context cache up front, outside the parallel
-     * region; read-only afterwards). Indexed by level.
-     */
-    std::vector<PrecompPtr>
-    precompPerLevel(const SwitchKey &swk,
-                    const std::vector<size_t> &levels) const;
-
     const CkksContext &ctx_;
     KernelLog *log_;
 };
+
+/**
+ * Sequential reference interpreter: apply @p pipeline to @p input item
+ * by item, stage by stage, on one CkksEvaluator logging into @p log,
+ * through the one-shot SwitchKey paths (no residency cache, no thread
+ * pool work beyond the evaluator's own loops). The conformance baseline
+ * BatchEvaluator::run is checked against; CompiledGraph::runSequential
+ * and BootstrapPipeline::runSequential delegate to it.
+ *
+ * @throws std::invalid_argument when a stage operand batch does not
+ *         match @p input's size, or any stage rejects an item.
+ */
+CtVec runPipelineSequential(const CkksContext &ctx, const CtVec &input,
+                            const Pipeline &pipeline,
+                            KernelLog *log = nullptr);
 
 } // namespace cross::ckks

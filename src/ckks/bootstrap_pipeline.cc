@@ -179,59 +179,7 @@ CtVec
 BootstrapPipeline::runSequential(const CkksContext &ctx,
                                  KernelLog *log) const
 {
-    CkksEvaluator ev(ctx, log);
-    CtVec out;
-    out.reserve(input_.size());
-    for (size_t i = 0; i < input_.size(); ++i) {
-        Ciphertext cur = input_[i];
-        for (const auto &st : pipeline_.stages()) {
-            switch (st.op) {
-              case HeOp::Add:
-                cur = ev.add(cur, (*st.rhs)[i]);
-                break;
-              case HeOp::AddPlain:
-                cur = ev.addPlain(
-                    cur, pipelineStagePlain(st, cur.limbs() - 1));
-                break;
-              case HeOp::Mult:
-                cur = ev.multiply(cur, (*st.rhs)[i], *st.key);
-                break;
-              case HeOp::MultiplyPlain:
-                cur = ev.multiplyPlain(
-                    cur, pipelineStagePlain(st, cur.limbs() - 1));
-                break;
-              case HeOp::Rescale:
-                cur = ev.rescale(cur);
-                break;
-              case HeOp::Rotate:
-                cur = ev.rotate(cur, st.autoIdx, *st.key);
-                break;
-              case HeOp::RotateAccum: {
-                Ciphertext acc = cur;
-                for (const auto &br : st.branches)
-                    acc = ev.add(acc,
-                                 ev.rotate(cur, br.autoIdx, *br.key));
-                cur = acc;
-                break;
-              }
-              case HeOp::HoistedRotations: {
-                const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
-                Ciphertext acc = cur;
-                for (const auto &br : st.branches)
-                    acc = ev.add(acc, ev.applyHoistedRotation(
-                                          cur, dec, br.autoIdx, *br.key));
-                ev.noteHoistedSaves(st.branches.size());
-                cur = acc;
-                break;
-              }
-              case HeOp::RescaleMulti:
-                internalCheck(false, "BootstrapPipeline: unexpected op");
-                break;
-            }
-        }
-        out.push_back(std::move(cur));
-    }
-    return out;
+    return runPipelineSequential(ctx, input_, pipeline_, log);
 }
 
 } // namespace cross::ckks

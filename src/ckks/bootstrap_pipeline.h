@@ -80,9 +80,9 @@ class BootstrapPipeline
     CtVec run(const BatchEvaluator &batch) const;
 
     /**
-     * Sequential reference: item by item, stage by stage, one-shot
-     * SwitchKey paths (no residency cache). Bit-identical to run() at
-     * any thread count; its KernelLog is the conformance baseline.
+     * Sequential reference: runPipelineSequential over the owned
+     * pipeline. Bit-identical to run() at any thread count; its
+     * KernelLog is the conformance baseline.
      */
     CtVec runSequential(const CkksContext &ctx, KernelLog *log) const;
 

@@ -530,10 +530,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         }
         step.in = nodes[sp.group.front()].args[0];
         step.out = sp.group.back();
-        step.startLevel = start_level_of(sp.group.front());
-        step.pops = cg->schedule_ == ScheduleKind::Hoisted
-                        ? hoist(pops_of(sp.group))
-                        : pops_of(sp.group);
         for (NodeId id : sp.group) {
             const Node &n = nodes[id];
             for (const GraphOp &op : wr.nodeOps[id]) {
@@ -626,9 +622,29 @@ CompiledGraph::run(const BatchEvaluator &batch,
     requireThat(&batch.context() == ctx_,
                 "CompiledGraph::run: evaluator bound to a different "
                 "context");
+    return walkSteps(inputs, [&](const CtVec &in, const Pipeline &pipe) {
+        return batch.run(in, pipe);
+    });
+}
+
+std::vector<CtVec>
+CompiledGraph::runSequential(KernelLog *log,
+                             const std::vector<CtVec> &inputs)
+{
+    return walkSteps(inputs, [&](const CtVec &in, const Pipeline &pipe) {
+        return runPipelineSequential(*ctx_, in, pipe, log);
+    });
+}
+
+std::vector<CtVec>
+CompiledGraph::walkSteps(
+    const std::vector<CtVec> &inputs,
+    const std::function<CtVec(const CtVec &, const Pipeline &)> &run_pipe)
+{
+    std::lock_guard<std::mutex> lock(runMutex_);
     bindInputs(inputs);
     const CkksEvaluator ev(*ctx_);
-    for (Step &st : steps_) {
+    for (const Step &st : steps_) {
         if (st.isReduce) {
             const CtVec &in = values_[st.in];
             CtVec out(in.size());
@@ -638,91 +654,8 @@ CompiledGraph::run(const BatchEvaluator &batch,
             }
             values_[st.out] = std::move(out);
         } else {
-            values_[st.out] = batch.run(values_[st.in], st.pipe);
+            values_[st.out] = run_pipe(values_[st.in], st.pipe);
         }
-    }
-    std::vector<CtVec> res;
-    res.reserve(outputIds_.size());
-    for (NodeId o : outputIds_)
-        res.push_back(values_[o]);
-    return res;
-}
-
-std::vector<CtVec>
-CompiledGraph::runSequential(KernelLog *log,
-                             const std::vector<CtVec> &inputs)
-{
-    bindInputs(inputs);
-    const CkksEvaluator ev(*ctx_, log);
-    for (Step &st : steps_) {
-        if (st.isReduce) {
-            const CtVec &in = values_[st.in];
-            CtVec out(in.size());
-            for (size_t i = 0; i < in.size(); ++i) {
-                out[i] = ev.reduceToLimbs(in[i], st.reduceLimbs);
-                out[i].scale = st.reduceScale;
-            }
-            values_[st.out] = std::move(out);
-            continue;
-        }
-        const CtVec &in = values_[st.in];
-        CtVec out(in.size());
-        for (size_t i = 0; i < in.size(); ++i) {
-            Ciphertext cur = in[i];
-            for (const PipelineStage &stage : st.pipe.stages()) {
-                switch (stage.op) {
-                  case HeOp::Add:
-                    cur = ev.add(cur, (*stage.rhs)[i]);
-                    break;
-                  case HeOp::Mult:
-                    cur = ev.multiply(cur, (*stage.rhs)[i],
-                                      *stage.key);
-                    break;
-                  case HeOp::Rescale:
-                    cur = ev.rescale(cur);
-                    break;
-                  case HeOp::RescaleMulti:
-                    cur = ev.rescaleMulti(cur);
-                    break;
-                  case HeOp::Rotate:
-                    cur = ev.rotate(cur, stage.autoIdx, *stage.key);
-                    break;
-                  case HeOp::AddPlain:
-                    cur = ev.addPlain(
-                        cur, pipelineStagePlain(stage,
-                                                cur.limbs() - 1));
-                    break;
-                  case HeOp::MultiplyPlain:
-                    cur = ev.multiplyPlain(
-                        cur, pipelineStagePlain(stage,
-                                                cur.limbs() - 1));
-                    break;
-                  case HeOp::RotateAccum: {
-                    Ciphertext acc = cur;
-                    for (const RotateBranch &br : stage.branches) {
-                        const Ciphertext rotated =
-                            ev.rotate(cur, br.autoIdx, *br.key);
-                        acc = ev.add(acc, rotated);
-                    }
-                    cur = acc;
-                    break;
-                  }
-                  case HeOp::HoistedRotations: {
-                    const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
-                    Ciphertext acc = cur;
-                    for (const RotateBranch &br : stage.branches)
-                        acc = ev.add(
-                            acc, ev.applyHoistedRotation(
-                                     cur, dec, br.autoIdx, *br.key));
-                    ev.noteHoistedSaves(stage.branches.size());
-                    cur = acc;
-                    break;
-                  }
-                }
-            }
-            out[i] = cur;
-        }
-        values_[st.out] = std::move(out);
     }
     std::vector<CtVec> res;
     res.reserve(outputIds_.size());

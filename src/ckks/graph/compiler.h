@@ -27,9 +27,11 @@
  */
 #pragma once
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
-#include <deque>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -167,10 +169,10 @@ struct KeyWorkingSet
  * A lowered, runnable graph. Owns its pipelines, plaintext operands,
  * generated keys and intermediate-value slots (stages point into the
  * owned storage, so the object is neither copyable nor movable;
- * compileGraph hands it out by unique_ptr). One run at a time: the
- * value slots are reused, so concurrent run() calls on the same
- * CompiledGraph would race (batch items inside a run parallelise as
- * usual).
+ * compileGraph hands it out by unique_ptr). The value slots are reused
+ * by every run, so run() and runSequential() serialise on a member
+ * mutex: concurrent calls on one CompiledGraph are safe and execute one
+ * after another (batch items inside a run parallelise as usual).
  */
 class CompiledGraph
 {
@@ -186,9 +188,10 @@ class CompiledGraph
                            const std::vector<CtVec> &inputs);
 
     /**
-     * Sequential reference: item by item, stage by stage, one-shot
-     * SwitchKey paths (no residency cache). The conformance baseline
-     * for run(), exactly like BootstrapPipeline::runSequential.
+     * Sequential reference: the same step walk as run(), with every
+     * pipeline segment executed by runPipelineSequential (item by item,
+     * stage by stage, one-shot SwitchKey paths, no residency cache).
+     * The conformance baseline for run().
      */
     std::vector<CtVec> runSequential(KernelLog *log,
                                      const std::vector<CtVec> &inputs);
@@ -241,13 +244,19 @@ class CompiledGraph
         NodeId in = 0;  ///< value slot feeding the step
         NodeId out = 0; ///< value slot the step writes
         Pipeline pipe;
-        std::vector<PipelineOp> pops;
-        size_t startLevel = 0;
         size_t reduceLimbs = 0;  ///< Reduce: target limb count
         double reduceScale = 0;  ///< Reduce: result scale (bit-exact)
     };
 
     void bindInputs(const std::vector<CtVec> &inputs);
+
+    /** The step walk run() and runSequential() share: bind @p inputs,
+     *  run every step (Reduce inline, pipeline segments through
+     *  @p run_pipe) and collect the outputs, under runMutex_. */
+    std::vector<CtVec> walkSteps(
+        const std::vector<CtVec> &inputs,
+        const std::function<CtVec(const CtVec &, const Pipeline &)>
+            &run_pipe);
 
     const CkksContext *ctx_ = nullptr;
     std::vector<Step> steps_;
@@ -263,6 +272,8 @@ class CompiledGraph
     std::vector<NodeId> outputIds_;
     std::vector<InputSpec> inputSpecs_;
 
+    /** Serialises runs: they all read and write values_. */
+    std::mutex runMutex_;
     /** One value slot per expanded node; pipeline stages hold
      *  pointers into this vector, which is sized once at compile
      *  (stable addresses). */

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <compare>
 #include <cstddef>
 
 namespace cross::ckks {
@@ -72,6 +73,9 @@ struct PipelineOp
 {
     HeOp op;
     size_t fanin = 1;
+
+    /** Ordered so a pipeline's structure can key a memo by value. */
+    friend auto operator<=>(const PipelineOp &, const PipelineOp &) = default;
 };
 
 } // namespace cross::ckks

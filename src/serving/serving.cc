@@ -114,10 +114,27 @@ ServingEngine::modelEstimateUs(const Request &r) const
 {
     if (r.input.limbs() < 1)
         return 0.0;
-    const size_t level = r.input.limbs() - 1;
-    const void *target = r.pipe ? static_cast<const void *>(r.pipe)
-                                : static_cast<const void *>(r.model);
-    const auto key = std::make_pair(target, level);
+    if (r.pipe)
+        return pipelineEstimateUs(r.pipe->pipelineOps(), r.input.limbs() - 1);
+    // Compiled graphs carry their own schedule price (0 when the graph
+    // was compiled without a device).
+    switch (r.model->schedule()) {
+      case graph::ScheduleKind::PerOp:
+        return r.model->perOpCostUs();
+      case graph::ScheduleKind::Hoisted:
+        return r.model->hoistedCostUs();
+      default:
+        return r.model->fusedCostUs();
+    }
+}
+
+double
+ServingEngine::pipelineEstimateUs(std::vector<ckks::PipelineOp> ops,
+                                  size_t level) const
+{
+    if (!cfg_.costModel)
+        return 0.0;
+    auto key = std::make_pair(std::move(ops), level);
     {
         std::lock_guard<std::mutex> lock(m_);
         const auto it = estCache_.find(key);
@@ -125,29 +142,11 @@ ServingEngine::modelEstimateUs(const Request &r) const
             return it->second;
     }
     // Pricing enumerates the whole kernel schedule -- keep it outside
-    // the engine lock and memoise per (model, level).
-    double us = 0.0;
-    if (r.pipe) {
-        if (cfg_.costModel)
-            us = cfg_.costModel->pipelineLatencyUs(r.pipe->pipelineOps(),
-                                                   level, 1);
-    } else {
-        // Compiled graphs carry their own schedule price (0 when the
-        // graph was compiled without a device).
-        switch (r.model->schedule()) {
-          case graph::ScheduleKind::PerOp:
-            us = r.model->perOpCostUs();
-            break;
-          case graph::ScheduleKind::Hoisted:
-            us = r.model->hoistedCostUs();
-            break;
-          default:
-            us = r.model->fusedCostUs();
-            break;
-        }
-    }
+    // the engine lock.
+    const double us =
+        cfg_.costModel->pipelineLatencyUs(key.first, level, 1);
     std::lock_guard<std::mutex> lock(m_);
-    estCache_.emplace(key, us);
+    estCache_.emplace(std::move(key), us);
     return us;
 }
 
@@ -155,10 +154,7 @@ double
 ServingEngine::estimatePipelineUs(const ckks::Pipeline &pipe,
                                   size_t level) const
 {
-    if (!cfg_.costModel)
-        return 0.0;
-    return cfg_.costScale *
-           cfg_.costModel->pipelineLatencyUs(pipe.pipelineOps(), level, 1);
+    return cfg_.costScale * pipelineEstimateUs(pipe.pipelineOps(), level);
 }
 
 std::future<ckks::Ciphertext>
@@ -327,13 +323,10 @@ ServingEngine::execute(std::vector<Request> &reqs)
         if (reqs.front().pipe) {
             out = batch_.run(inputs, *reqs.front().pipe);
         } else {
-            graph::CompiledGraph *model = reqs.front().model;
-            // One run at a time per model: CompiledGraph reuses its
-            // value slots across runs, so two dispatchers must not
-            // drive the same model concurrently.
-            std::lock_guard<std::mutex> lock(modelLock(model));
+            // CompiledGraph::run serialises concurrent runs itself.
             out = std::move(
-                model->run(batch_, {std::move(inputs)}).front());
+                reqs.front().model->run(batch_, {std::move(inputs)})
+                    .front());
         }
         internalCheck(out.size() == reqs.size(),
                       "ServingEngine: batch result size mismatch");
@@ -359,16 +352,6 @@ ServingEngine::execute(std::vector<Request> &reqs)
         for (auto &r : reqs)
             r.result.set_exception(err);
     }
-}
-
-std::mutex &
-ServingEngine::modelLock(const void *model)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &slot = modelLocks_[model];
-    if (!slot)
-        slot = std::make_unique<std::mutex>();
-    return *slot;
 }
 
 void

@@ -307,10 +307,10 @@ class ServingEngine
     /**
      * Submit against a compiled model: @p model must be a
      * 1-input / 1-output graph (requests are single ciphertexts; the
-     * engine forms the CtVec batches). The engine serialises runs of
-     * one CompiledGraph (its value slots are reused per run), so a
-     * model shared by many streams executes its coalesced batches one
-     * after another -- which is the batching win, not a limitation.
+     * engine forms the CtVec batches). CompiledGraph serialises its own
+     * runs (its value slots are reused per run), so a model shared by
+     * many streams executes its coalesced batches one after another --
+     * which is the batching win, not a limitation.
      */
     std::future<ckks::Ciphertext> submit(Stream &stream,
                                          graph::CompiledGraph &model,
@@ -342,8 +342,9 @@ class ServingEngine
      * Wall-clock latency estimate (microseconds) the deadline
      * admission control uses for @p pipe at @p level: the cost
      * model's batch-1 pipelineLatencyUs times costScale, 0 when no
-     * cost model is configured. Exposed so clients can pick feasible
-     * deadlines from the same number the engine rejects against.
+     * cost model is configured. It reads the same memo (keyed by
+     * pipe.pipelineOps() and level) admission reads, so clients pick
+     * feasible deadlines from the number the engine rejects against.
      */
     double estimatePipelineUs(const ckks::Pipeline &pipe,
                               size_t level) const;
@@ -384,9 +385,13 @@ class ServingEngine
 
     void checkStream(const Stream &stream) const;
     std::future<ckks::Ciphertext> enqueue(Request r);
-    /** Model-microseconds estimate for @p r (uncalibrated), cached by
-     *  (model identity, level); 0 when no cost model / no price. */
+    /** Model-microseconds estimate for @p r (uncalibrated); 0 when no
+     *  cost model / no price. */
     double modelEstimateUs(const Request &r) const;
+    /** Batch-1 pipelineLatencyUs of @p ops at @p level, memoised by
+     *  value in estCache_; 0 when no cost model is configured. */
+    double pipelineEstimateUs(std::vector<ckks::PipelineOp> ops,
+                              size_t level) const;
     void dispatchLoop();
     /** Move every expired entry out of the scheduler into @p shed,
      *  updating the shed counters. m_ must be held; the promises are
@@ -395,7 +400,6 @@ class ServingEngine
     /** Form one batch: DRR/EDF leader + same-key fill. m_ held. */
     std::vector<Request> formBatchLocked();
     void execute(std::vector<Request> &reqs);
-    std::mutex &modelLock(const void *model);
 
     const ckks::CkksContext &ctx_;
     const ServingConfig cfg_;
@@ -409,10 +413,12 @@ class ServingEngine
     bool stopping_ = false;
     ServingStats stats_;
     std::map<u64, TenantStats> tenantStats_;
-    /** Per-CompiledGraph run serialisation (value-slot reuse). */
-    std::map<const void *, std::unique_ptr<std::mutex>> modelLocks_;
-    /** (model identity, level) -> model-us estimate memo. */
-    mutable std::map<std::pair<const void *, size_t>, double> estCache_;
+    /** (pipeline structure, level) -> model-us estimate memo. Keyed
+     *  by value, never by address: a pipeline built where a dead one
+     *  lived must not inherit its price. */
+    mutable std::map<std::pair<std::vector<ckks::PipelineOp>, size_t>,
+                     double>
+        estCache_;
 
     std::atomic<u64> nextStream_{0};
     std::vector<std::thread> dispatchers_;

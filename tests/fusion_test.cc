@@ -42,9 +42,10 @@ class FusionFixture : public ::testing::Test
   protected:
     static constexpr double kScale = 1 << 26;
 
-    FusionFixture()
-        : ctx(CkksParams::testSet(1 << 9, 5, 2)), encoder(ctx),
-          keygen(ctx, 0xf5), encryptor(ctx, keygen.publicKey(), 0xf6)
+    explicit FusionFixture(
+        const CkksParams &params = CkksParams::testSet(1 << 9, 5, 2))
+        : ctx(params), encoder(ctx), keygen(ctx, 0xf5),
+          encryptor(ctx, keygen.publicKey(), 0xf6)
     {
     }
 
@@ -178,7 +179,7 @@ TEST_F(FusionFixture, PipelineLogMatchesScheduleEnumerator)
     // The merged log is `count` copies of the per-item pipeline
     // schedule, starting at the top level.
     const auto predicted =
-        enumerateKernels(p.ops(), ctx.params(), ctx.qCount() - 1);
+        enumerateKernels(p.pipelineOps(), ctx.params(), ctx.qCount() - 1);
     ASSERT_EQ(log.calls().size(), count * predicted.size());
     for (size_t i = 0; i < count; ++i) {
         for (size_t j = 0; j < predicted.size(); ++j) {
@@ -223,7 +224,7 @@ TEST_F(FusionFixture, MixedLevelPipelinePicksPerItemPrecomp)
 }
 
 // ---------------------------------------------------------------------
-// Mixed-level batches through the per-operator entry points
+// Mixed-level batches through one-stage pipelines
 // ---------------------------------------------------------------------
 TEST_F(FusionFixture, MixedLevelBatchMultiplyMatchesSequential)
 {
@@ -241,10 +242,12 @@ TEST_F(FusionFixture, MixedLevelBatchMultiplyMatchesSequential)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.multiply(a[i], b[i], rlk));
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     for (u32 threads : {1u, 4u}) {
         setGlobalThreadCount(threads);
         BatchEvaluator batch(ctx);
-        expectEqual(batch.multiply(a, b, rlk), seq);
+        expectEqual(batch.run(a, mult), seq);
     }
     setGlobalThreadCount(1);
 }
@@ -263,10 +266,12 @@ TEST_F(FusionFixture, MixedLevelBatchRotateMatchesSequential)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.rotate(a[i], k, rot_key));
 
+    Pipeline rot;
+    rot.rotate(k, rot_key);
     for (u32 threads : {1u, 4u}) {
         setGlobalThreadCount(threads);
         BatchEvaluator batch(ctx);
-        expectEqual(batch.rotate(a, k, rot_key), seq);
+        expectEqual(batch.run(a, rot), seq);
     }
     setGlobalThreadCount(1);
 }
@@ -284,11 +289,13 @@ TEST_F(FusionFixture, CacheSharedAcrossBatchesAndEvaluators)
     cache.clear();
     cache.resetStats();
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     setGlobalThreadCount(1);
     BatchEvaluator batch1(ctx);
     BatchEvaluator batch2(ctx);
-    const auto r1 = batch1.multiply(a, b, rlk);
-    const auto r2 = batch2.multiply(a, b, rlk);
+    const auto r1 = batch1.run(a, mult);
+    const auto r2 = batch2.run(a, mult);
     expectEqual(r1, r2);
     // One level, one key: a single build serves both evaluators.
     EXPECT_EQ(cache.misses(), 1u);
@@ -306,14 +313,16 @@ TEST_F(FusionFixture, CacheInvalidateRebuildsIdentically)
     cache.clear();
     cache.resetStats();
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     setGlobalThreadCount(1);
     BatchEvaluator batch(ctx);
-    const auto before = batch.multiply(a, b, rlk);
+    const auto before = batch.run(a, mult);
     EXPECT_EQ(cache.misses(), 1u);
 
     cache.invalidate(rlk.id());
     EXPECT_EQ(cache.size(), 0u);
-    const auto after = batch.multiply(a, b, rlk);
+    const auto after = batch.run(a, mult);
     EXPECT_EQ(cache.misses(), 2u); // rebuilt once
     expectEqual(before, after);
 
@@ -339,14 +348,17 @@ TEST_F(FusionFixture, ReassignedKeyVariableIsServedTheNewKey)
 
     SwitchKey key = keygen.rotationKey(k1);
     const u64 old_id = key.id();
-    (void)batch.rotate(a, k1, key); // (old id, top level) resident
-    key = keygen.rotationKey(k2);   // same object, different key
+    Pipeline rot1, rot2; // both stages point at the same key object
+    rot1.rotate(k1, key);
+    rot2.rotate(k2, key);
+    (void)batch.run(a, rot1);     // (old id, top level) resident
+    key = keygen.rotationKey(k2); // same object, different key
     EXPECT_NE(key.id(), old_id);
 
     CtVec want;
     for (const auto &ct : a)
         want.push_back(ev.rotate(ct, k2, key));
-    expectEqual(batch.rotate(a, k2, key), want);
+    expectEqual(batch.run(a, rot2), want);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -365,17 +377,25 @@ TEST_F(FusionFixture, MovedFromKeyFailsBeforeTheCacheLookup)
     cache.resetStats();
     setGlobalThreadCount(1);
     const BatchEvaluator batch(ctx);
-    const auto want = batch.multiply(a, b, rlk); // (rlk, top) resident
+    Pipeline with_rlk;
+    with_rlk.multiply(b, rlk);
+    const auto want = batch.run(a, with_rlk); // (rlk, top) resident
     EXPECT_EQ(cache.misses(), 1u);
 
     const SwitchKey taken = std::move(rlk);
-    EXPECT_THROW(batch.multiply(a, b, rlk), std::invalid_argument);
-    EXPECT_THROW(batch.multiply(a, b, SwitchKey{}), std::invalid_argument);
-    EXPECT_EQ(cache.hits(), 0u); // neither reached the cache
+    const SwitchKey empty;
+    Pipeline with_empty, with_taken;
+    with_empty.multiply(b, empty);
+    with_taken.multiply(b, taken);
+    const u64 hits = cache.hits(); // the warm-up's second item hit
+    EXPECT_THROW(batch.run(a, with_rlk), std::invalid_argument);
+    EXPECT_THROW(batch.run(a, with_empty), std::invalid_argument);
+    EXPECT_EQ(cache.hits(), hits); // neither reached the cache
 
-    // The moved-to key carries the id and is still served from cache.
-    expectEqual(batch.multiply(a, b, taken), want);
-    EXPECT_EQ(cache.hits(), 1u);
+    // The moved-to key carries the id and is still served from cache,
+    // for every item.
+    expectEqual(batch.run(a, with_taken), want);
+    EXPECT_EQ(cache.hits(), hits + a.size());
     EXPECT_EQ(cache.misses(), 1u);
 }
 
@@ -514,13 +534,15 @@ TEST_F(FusionFixture, ConcurrentApplicationThreadsShareCacheSafely)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.multiply(a[i], b[i], rlk));
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     setGlobalThreadCount(testThreads());
     std::vector<CtVec> results(2);
     std::vector<std::thread> workers;
     for (size_t w = 0; w < results.size(); ++w) {
         workers.emplace_back([&, w] {
             BatchEvaluator batch(ctx);
-            results[w] = batch.multiply(a, b, rlk);
+            results[w] = batch.run(a, mult);
         });
     }
     for (auto &t : workers)
@@ -659,6 +681,9 @@ TEST_F(FusionFixture, ThrowingRunsLeaveNoPrecompHeld)
     bad.rotate(k1, key1).rotate(k2, key2);
     for (int i = 0; i < 5; ++i)
         bad.rescale();
+    // Holds item 0's rotation precomp, then cannot rescale item 1.
+    Pipeline rotate_rescale;
+    rotate_rescale.rotate(k1, key1).rescale();
 
     setGlobalThreadCount(1);
     CkksEvaluator ev(ctx);
@@ -685,9 +710,11 @@ TEST_F(FusionFixture, ThrowingRunsLeaveNoPrecompHeld)
         // A prevalidation failure holding a precomp the cache evicted
         // meanwhile...
         EXPECT_THROW(batch.run(a, bad), std::invalid_argument);
-        // ...and a mid-parallel-region failure (item 1 cannot
-        // rescale): unwinding either must release every handle.
-        EXPECT_THROW(batch.rescale(drained), std::invalid_argument);
+        // ...and a rescale on a drained chain (item 1 has one limb
+        // left) after another item's precomp was fetched: unwinding
+        // either must release every handle.
+        EXPECT_THROW(batch.run(drained, rotate_rescale),
+                     std::invalid_argument);
         EXPECT_EQ(cache.retiredBytes(), 0u);
         EXPECT_LE(cache.residentBytes(), cache.byteBudget());
         // The engine still runs bit-identically after the failures.
@@ -729,6 +756,106 @@ TEST_F(FusionFixture, RotateAccumValidatesBranchKeysBeforeAnyWork)
     Pipeline rot;
     rot.rotate(k2, bad);
     EXPECT_THROW(batch.run(a, rot), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Every stage kind: batched executor vs the sequential reference
+// ---------------------------------------------------------------------
+
+/** Six limbs with double rescaling (rescaleSplit = 2), so one pipeline
+ *  has room for a Rescale and a RescaleMulti. */
+CkksParams
+doubleRescaleParams()
+{
+    auto params = CkksParams::testSet(1 << 9, 6, 2);
+    params.rescaleSplit = 2;
+    return params;
+}
+
+class FusionAllStages : public FusionFixture
+{
+  protected:
+    FusionAllStages() : FusionFixture(doubleRescaleParams()) {}
+};
+
+TEST_F(FusionAllStages, EveryStageKindMatchesSequentialReference)
+{
+    const auto rlk = keygen.relinKey();
+    const u32 k1 = encoder.rotationAutomorphism(1);
+    const u32 k2 = encoder.rotationAutomorphism(2);
+    const auto key1 = keygen.rotationKey(k1);
+    const auto key2 = keygen.rotationKey(k2);
+    const size_t count = 3;
+    const auto a = encryptBatch(count, 41);
+    const auto b = encryptBatch(count, 42);
+    const size_t top = ctx.qCount() - 1;
+
+    // Scale after Mult + Rescale, replaying the evaluator's updates:
+    // every addPlain operand meets the item at exactly this scale.
+    const double rescaled =
+        kScale * kScale / static_cast<double>(ctx.qModulus(top));
+    const std::vector<double> ones(encoder.slotCount(), 1.0);
+    const Plaintext add_pt = encoder.encodeReal(ones, rescaled, top);
+    // Per-level rows: scale-1 multiplicands (uniform ring elements, as
+    // the bootstrap's matrix rows) and addends at the running scale.
+    Rng rng(45);
+    std::vector<Plaintext> mul_rows, add_rows;
+    for (size_t l = 0; l <= top; ++l) {
+        Plaintext row;
+        row.poly = poly::RnsPoly::uniform(ctx.ring(), l + 1, true, rng);
+        row.scale = 1.0;
+        mul_rows.push_back(std::move(row));
+        add_rows.push_back(encoder.encodeReal(ones, rescaled, l + 1));
+    }
+
+    Pipeline p;
+    p.add(b)
+        .multiply(b, rlk)
+        .rescale()
+        .addPlain(add_pt)
+        .multiplyPlain(mul_rows)
+        .rotate(k1, key1)
+        .rotateAccum({{k1, &key1}, {k2, &key2}})
+        .rotateHoisted({{k1, &key1}, {k2, &key2}})
+        .addPlain(add_rows)
+        .rescaleMulti();
+
+    setGlobalThreadCount(1);
+    KernelLog seq_log;
+    const auto seq = runPipelineSequential(ctx, a, p, &seq_log);
+    ASSERT_EQ(seq.size(), count);
+    EXPECT_EQ(seq.front().limbs(), ctx.qCount() - 1 - 2);
+
+    for (u32 threads : {1u, 4u}) {
+        setGlobalThreadCount(threads);
+        KernelLog log;
+        BatchEvaluator batch(ctx, &log);
+        expectEqual(batch.run(a, p), seq);
+        expectSameLog(log, seq_log);
+        EXPECT_EQ(log.hoistedModUpSaves(), seq_log.hoistedModUpSaves());
+    }
+    setGlobalThreadCount(1);
+    EXPECT_EQ(seq_log.hoistedModUpSaves(), count); // one per 2-way fan-in
+
+    // The merged log is `count` copies of the priced schedule.
+    const auto predicted = enumerateKernels(p.pipelineOps(), ctx.params(), top);
+    ASSERT_EQ(seq_log.calls().size(), count * predicted.size());
+    for (size_t i = 0; i < count; ++i) {
+        for (size_t j = 0; j < predicted.size(); ++j) {
+            EXPECT_TRUE(seq_log.calls()[i * predicted.size() + j].sameShape(
+                predicted[j]))
+                << "item " << i << " kernel " << j;
+        }
+    }
+}
+
+TEST_F(FusionFixture, SequentialReferenceRejectsShortOperandBatch)
+{
+    const auto a = encryptBatch(3, 43);
+    const auto short_rhs = encryptBatch(2, 44);
+    Pipeline p;
+    p.add(short_rhs);
+    EXPECT_THROW(runPipelineSequential(ctx, a, p), std::invalid_argument);
 }
 
 } // namespace

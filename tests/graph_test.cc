@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -271,6 +272,48 @@ TEST_F(GraphFixture, DenseLayerBatchMatchesItsSequentialReference)
         const auto outs = compiled->run(batch, {input});
         expectEqual(outs.at(0), seq.at(0));
         expectSameLog(log, seq_log);
+    }
+}
+
+TEST_F(GraphFixture, ConcurrentRunsOfOneGraphMatchTheSequentialReference)
+{
+    // Two application threads drive one CompiledGraph at once on
+    // different inputs. Runs share the graph's value slots, so the
+    // graph serialises them itself; each thread must get the result of
+    // its own input.
+    const auto rlk = keygen.relinKey();
+    const auto rot_keys = layerRotationKeys(4);
+    const std::vector<CtVec> inputs = {encryptBatch(3, 8),
+                                       encryptBatch(3, 9)};
+
+    const auto layer = workloads::denseSquareLayerGraph(
+        layerWeights(), layerBias(), 2);
+    const auto compiled =
+        compileGraph(ctx, layer, layerOptions(rlk, rot_keys));
+
+    setGlobalThreadCount(1);
+    std::vector<CtVec> seq;
+    for (const auto &in : inputs)
+        seq.push_back(compiled->runSequential(nullptr, {in}).at(0));
+
+    setGlobalThreadCount(testThreads());
+    std::vector<std::vector<CtVec>> got(inputs.size());
+    std::vector<std::thread> workers;
+    for (size_t w = 0; w < inputs.size(); ++w) {
+        workers.emplace_back([&, w] {
+            const BatchEvaluator batch(ctx);
+            for (int r = 0; r < 3; ++r)
+                got[w].push_back(compiled->run(batch, {inputs[w]}).at(0));
+        });
+    }
+    for (auto &t : workers)
+        t.join();
+    setGlobalThreadCount(1);
+
+    for (size_t w = 0; w < inputs.size(); ++w) {
+        ASSERT_EQ(got[w].size(), 3u);
+        for (const auto &out : got[w])
+            expectEqual(out, seq[w]);
     }
 }
 

@@ -407,11 +407,13 @@ TEST_F(BatchConformance, MultiplyMatchesSequentialBitExactly)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(seq_ev.multiply(a[i], b[i], rlk));
 
-    // Parallel batched run.
+    // Parallel batched run: a one-stage pipeline.
+    ckks::Pipeline mult;
+    mult.multiply(b, rlk);
     ThreadGuard guard(testThreads());
     ckks::KernelLog par_log;
     ckks::BatchEvaluator batch(ctx, &par_log);
-    const auto par = batch.multiply(a, b, rlk);
+    const auto par = batch.run(a, mult);
 
     expectEqual(par, seq);
     expectSameLog(par_log, seq_log);
@@ -435,12 +437,16 @@ TEST_F(BatchConformance, AddRescaleRotateMatchSequential)
     for (size_t i = 0; i < a.size(); ++i)
         seq_rot.push_back(seq_ev.rotate(a[i], k, rot_key));
 
+    ckks::Pipeline add, rescale, rotate;
+    add.add(b);
+    rescale.rescale();
+    rotate.rotate(k, rot_key);
     ThreadGuard guard(testThreads());
     ckks::KernelLog par_log;
     ckks::BatchEvaluator batch(ctx, &par_log);
-    const auto par_add = batch.add(a, b);
-    const auto par_rs = batch.rescale(a);
-    const auto par_rot = batch.rotate(a, k, rot_key);
+    const auto par_add = batch.run(a, add);
+    const auto par_rs = batch.run(a, rescale);
+    const auto par_rot = batch.run(a, rotate);
 
     expectEqual(par_add, seq_add);
     expectEqual(par_rs, seq_rs);
@@ -465,9 +471,11 @@ TEST_F(BatchConformance, MixedLevelsShareOnePrecompPerLevel)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.multiply(a[i], b[i], rlk));
 
+    ckks::Pipeline mult;
+    mult.multiply(b, rlk);
     ThreadGuard guard(testThreads());
     ckks::BatchEvaluator batch(ctx);
-    expectEqual(batch.multiply(a, b, rlk), seq);
+    expectEqual(batch.run(a, mult), seq);
 }
 
 TEST_F(BatchConformance, PrecomputedKeySwitchEqualsDirect)
@@ -486,11 +494,15 @@ TEST_F(BatchConformance, PrecomputedKeySwitchEqualsDirect)
 
 TEST_F(BatchConformance, EmptyBatchIsANoOp)
 {
+    const std::vector<ckks::Ciphertext> none;
+    ckks::Pipeline rescale, add;
+    rescale.rescale();
+    add.add(none);
     ThreadGuard guard(testThreads());
     ckks::KernelLog log;
     ckks::BatchEvaluator batch(ctx, &log);
-    EXPECT_TRUE(batch.rescale({}).empty());
-    EXPECT_TRUE(batch.add({}, {}).empty());
+    EXPECT_TRUE(batch.run(none, rescale).empty());
+    EXPECT_TRUE(batch.run(none, add).empty());
     EXPECT_TRUE(log.calls().empty());
 }
 

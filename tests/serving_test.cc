@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -709,6 +710,67 @@ TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
     engine.resume();
     expectEqual(ok.get(), ref);
     EXPECT_EQ(engine.stats().completed, 1u);
+}
+
+TEST_F(ServingFixture, AdmissionEstimateIsNotInheritedAtAReusedAddress)
+{
+    // A cheap pipeline is priced, destroyed, and a costly one is built
+    // at the same address: admission must price the new pipeline, not
+    // serve the dead one's memoised estimate.
+    const u32 k = encoder.rotationAutomorphism(1);
+    const auto rot_key = keygen.rotationKey(k);
+    const auto pt = encoder.encodeReal(
+        std::vector<double>(encoder.slotCount(), 0.5), kScale,
+        ctx.qCount());
+    const auto inputs = encryptBatch(2, 55);
+    const size_t level = inputs[0].limbs() - 1;
+
+    lowering::Config lcfg;
+    const ckks::HeOpCostModel cost(tpu::tpuV6e(), lcfg, ctx.params());
+    const std::vector<ckks::PipelineOp> cheap = {{ckks::HeOp::AddPlain}};
+    const std::vector<ckks::PipelineOp> costly(3, {ckks::HeOp::Rotate});
+    const double cheap_us = cost.pipelineLatencyUs(cheap, level, 1);
+    const double costly_us = cost.pipelineLatencyUs(costly, level, 1);
+    ASSERT_GT(costly_us, 4 * cheap_us);
+
+    setGlobalThreadCount(1);
+    ServingConfig cfg;
+    cfg.startPaused = true;
+    cfg.costModel = &cost;
+    // Scaled so the gap between the two estimates (tens of ms) dwarfs
+    // the submit path's own time, even under a sanitizer.
+    cfg.costScale = 1000;
+    // Declared before the engine: a request admitted by mistake is
+    // drained at engine destruction while its pipeline still lives.
+    std::optional<Pipeline> p;
+    ServingEngine engine(ctx, cfg);
+    auto stream = engine.openStream();
+
+    p.emplace();
+    p->addPlain(pt);
+    // Below even the cheap estimate: rejected (nothing queued holds
+    // the pipeline), with the cheap estimate now memoised.
+    auto first = engine.submit(stream, *p, inputs[0], {.deadlineUs = 1});
+    EXPECT_THROW(first.get(), DeadlineError);
+
+    const Pipeline *addr = &*p;
+    p.reset();
+    p.emplace();
+    ASSERT_EQ(&*p, addr);
+    p->rotate(k, rot_key).rotate(k, rot_key).rotate(k, rot_key);
+
+    // Between the two estimates: feasible for the dead pipeline only.
+    const auto deadline =
+        static_cast<u64>(cfg.costScale * std::sqrt(cheap_us * costly_us));
+    EXPECT_GT(engine.estimatePipelineUs(*p, level),
+              static_cast<double>(deadline));
+    auto second =
+        engine.submit(stream, *p, inputs[1], {.deadlineUs = deadline});
+    EXPECT_EQ(engine.queueDepth(), 0u);
+    EXPECT_EQ(engine.stats().deadlineRejected, 2u);
+    ASSERT_EQ(second.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_THROW(second.get(), DeadlineError);
 }
 
 TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
