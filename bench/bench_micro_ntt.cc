@@ -8,6 +8,8 @@
  * reports the CPU behaviour differs from the TPU's).
  */
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -112,61 +114,81 @@ BM_BConv(benchmark::State &state)
 BENCHMARK(BM_BConv)->Arg(4)->Arg(8)->Arg(12);
 
 /**
- * Post-run dispatch sweep: the radix-2 forward NTT timed under every
- * available SIMD path (scalar first, then AVX2/AVX-512 where compiled
- * in and CPU-supported), emitting one per-path record plus the
- * trajectory metrics micro_ntt/avx2_vs_scalar_speedup and
- * micro_ntt/avx512_vs_scalar_speedup (items_per_sec = speedup ratio;
- * bench/fidelity_tolerance.json range-checks the AVX2 one). Unlike the
- * --isa flag, which pins one path for the whole binary, this sweep
- * measures every path in a single run so the ratios come from the same
- * host, the same tables and the same inputs.
+ * Post-run dispatch sweep: the radix-2 forward and inverse NTT at
+ * N = 2^12 and 2^14, each timed under every available SIMD path
+ * (scalar first, then AVX2/AVX-512 where compiled in and
+ * CPU-supported), emitting one per-path record plus the trajectory
+ * metrics micro_ntt/avx2_vs_scalar_speedup and
+ * micro_ntt/avx512_vs_scalar_speedup per (n, direction)
+ * (items_per_sec = speedup ratio; bench/fidelity_tolerance.json
+ * range-checks both). Unlike the --isa flag, which pins one path for
+ * the whole binary, this sweep measures every path in a single run so
+ * the ratios come from the same host, the same tables and the same
+ * inputs.
  */
 void
 dispatchSweep(bench::Reporter &rep)
 {
-    const u32 n = 1u << 12;
-    const u32 q =
-        static_cast<u32>(nt::generateNttPrimes(28, 1, 2ULL * n)[0]);
-    poly::NttTables tab(n, q);
-    auto a = randomPoly(n, q, 0x15a);
-
     const nt::SimdIsa prev = nt::activeSimdIsa();
-    TablePrinter t("SIMD dispatch sweep: radix-2 forward NTT, N = 2^12");
-    t.header({"ISA", "ns/NTT", "vs scalar"});
-    double scalar_ns = 0.0;
-    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
-                     nt::SimdIsa::Avx512}) {
-        if (!nt::simdIsaAvailable(isa))
-            continue;
-        nt::setSimdIsa(isa);
-        constexpr int kIters = 400;
-        // Warmup pass, then best-of-5: the ratio wants the undisturbed
-        // per-path speed, not scheduler noise.
-        for (int i = 0; i < kIters; ++i)
-            poly::forwardInPlace(a.data(), tab);
-        double best_ns = 1e30;
-        for (int round = 0; round < 5; ++round) {
-            WallTimer w;
-            for (int i = 0; i < kIters; ++i) {
-                poly::forwardInPlace(a.data(), tab);
-                benchmark::DoNotOptimize(a.data());
+    TablePrinter t("SIMD dispatch sweep: radix-2 NTT");
+    t.header({"N", "direction", "ISA", "ns/NTT", "vs scalar"});
+    for (u32 n : {1u << 12, 1u << 14}) {
+        const u32 q =
+            static_cast<u32>(nt::generateNttPrimes(28, 1, 2ULL * n)[0]);
+        poly::NttTables tab(n, q);
+        auto a = randomPoly(n, q, 0x15a);
+        for (bool inverse : {false, true}) {
+            const char *dir = inverse ? "inverse" : "forward";
+            const auto transform = [&] {
+                if (inverse)
+                    poly::inverseInPlace(a.data(), tab);
+                else
+                    poly::forwardInPlace(a.data(), tab);
+            };
+            // 100 transforms' worth of 2^12 coefficients per pass: the
+            // four (n, direction) sweeps together cost what one 400-pass
+            // sweep did, which bounds the Debug+ASan bench_smoke run.
+            const int iters = static_cast<int>((100u << 12) / n);
+            std::vector<nt::SimdIsa> isas;
+            for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                             nt::SimdIsa::Avx512}) {
+                if (nt::simdIsaAvailable(isa))
+                    isas.push_back(isa);
             }
-            best_ns = std::min(best_ns, w.seconds() * 1e9 / kIters);
-        }
-        const char *name = nt::simdIsaName(isa);
-        rep.add("micro_ntt/ntt_dispatch",
-                {{"isa", name}, {"n", std::to_string(n)}}, best_ns,
-                1e9 / best_ns);
-        if (isa == nt::SimdIsa::Scalar) {
-            scalar_ns = best_ns;
-            t.row({name, fmtF(best_ns, 1), "1.00"});
-        } else {
-            const double speedup = scalar_ns / best_ns;
-            rep.add(std::string("micro_ntt/") + name +
-                        "_vs_scalar_speedup",
-                    {{"n", std::to_string(n)}}, 0.0, speedup);
-            t.row({name, fmtF(best_ns, 1), fmtX(speedup, 2)});
+            // Warmup pass per path, then best-of-5 rounds that visit
+            // every path back to back: the ratio wants the undisturbed
+            // per-path speed, and a burst of host load lands on all
+            // paths of a round instead of on one path's rounds.
+            std::vector<double> best_ns(isas.size(), 1e30);
+            for (int round = -1; round < 5; ++round) {
+                for (size_t k = 0; k < isas.size(); ++k) {
+                    nt::setSimdIsa(isas[k]);
+                    WallTimer w;
+                    for (int i = 0; i < iters; ++i) {
+                        transform();
+                        benchmark::DoNotOptimize(a.data());
+                    }
+                    if (round >= 0)
+                        best_ns[k] = std::min(best_ns[k],
+                                              w.seconds() * 1e9 / iters);
+                }
+            }
+            const std::string ns = std::to_string(n);
+            for (size_t k = 0; k < isas.size(); ++k) {
+                const char *name = nt::simdIsaName(isas[k]);
+                rep.add("micro_ntt/ntt_dispatch",
+                        {{"isa", name}, {"n", ns}, {"direction", dir}},
+                        best_ns[k], 1e9 / best_ns[k]);
+                // isas[0] is the scalar path.
+                const double speedup = best_ns[0] / best_ns[k];
+                if (k > 0) {
+                    rep.add(std::string("micro_ntt/") + name +
+                                "_vs_scalar_speedup",
+                            {{"n", ns}, {"direction", dir}}, 0.0, speedup);
+                }
+                t.row({ns, dir, name, fmtF(best_ns[k], 1),
+                       fmtX(speedup, 2)});
+            }
         }
     }
     nt::setSimdIsa(prev);

@@ -1,6 +1,8 @@
 #include "ckks/batch_evaluator.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -196,6 +198,17 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     std::vector<std::vector<std::vector<PrecompPtr>>> accum_pre(
         stages.size());
     const CkksEvaluator builder(ctx_);
+    // One cache lookup per distinct (key id, level) in the run. A
+    // memoised handle is reused only for a key that could have built
+    // it: a short key sharing the id (moved-from) goes back to
+    // precomputeKeySwitchShared, which rejects it.
+    std::map<std::pair<u64, size_t>, PrecompPtr> fetched;
+    const auto fetch = [&](const SwitchKey &key, size_t level) {
+        PrecompPtr &pre = fetched[{key.id(), level}];
+        if (!pre || ctx_.activeDigits(level) > key.digits().size())
+            pre = builder.precomputeKeySwitchShared(key, level);
+        return pre;
+    };
     for (size_t s = 0; s < stages.size(); ++s) {
         const auto &st = stages[s];
         if (st.rhs) {
@@ -220,9 +233,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             for (size_t i = 0; i < count; ++i) {
                 limbs[i] = std::min(limbs[i], (*st.rhs)[i].limbs());
                 scale[i] = scale[i] * (*st.rhs)[i].scale;
-                stage_pre[s][i] =
-                    builder.precomputeKeySwitchShared(*st.key,
-                                                      limbs[i] - 1);
+                stage_pre[s][i] = fetch(*st.key, limbs[i] - 1);
             }
             break;
 
@@ -258,11 +269,8 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             checkAutomorphismIndex(ctx_, st.autoIdx);
             if (count > 0)
                 (void)ctx_.ring().evalAutoMap(st.autoIdx);
-            for (size_t i = 0; i < count; ++i) {
-                stage_pre[s][i] =
-                    builder.precomputeKeySwitchShared(*st.key,
-                                                      limbs[i] - 1);
-            }
+            for (size_t i = 0; i < count; ++i)
+                stage_pre[s][i] = fetch(*st.key, limbs[i] - 1);
             break;
 
           case HeOp::AddPlain:
@@ -310,11 +318,8 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                 const auto &br = st.branches[b];
                 if (count > 0)
                     (void)ctx_.ring().evalAutoMap(br.autoIdx);
-                for (size_t i = 0; i < count; ++i) {
-                    accum_pre[s][b][i] =
-                        builder.precomputeKeySwitchShared(*br.key,
-                                                          limbs[i] - 1);
-                }
+                for (size_t i = 0; i < count; ++i)
+                    accum_pre[s][b][i] = fetch(*br.key, limbs[i] - 1);
             }
             break;
           }

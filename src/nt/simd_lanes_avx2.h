@@ -89,6 +89,19 @@ shoupMulLazy8(__m256i x, __m256i wV, __m256i wsLoV, __m256i wsHiV,
     return mergeHalves(re, ro);
 }
 
+/** shoupMulLazy8 with a per-lane constant: lane l multiplies by
+ *  (w, wsHi:wsLo) taken from lane l of the three u32 vectors. */
+inline __m256i
+shoupMulLazy8Lanes(__m256i x, __m256i w, __m256i wsLo, __m256i wsHi,
+                   __m256i qV)
+{
+    const __m256i re = shoupMulLazyHalf(x, w, wsLo, wsHi, qV);
+    const __m256i ro = shoupMulLazyHalf(
+        _mm256_srli_epi64(x, 32), _mm256_srli_epi64(w, 32),
+        _mm256_srli_epi64(wsLo, 32), _mm256_srli_epi64(wsHi, 32), qV);
+    return mergeHalves(re, ro);
+}
+
 /**
  * Montgomery reduce u64 lanes z = a*b (a, b < q): returns u64 lanes in
  * [0, 2q). Scalar twin: Montgomery::reduce() / montReduceRaw().

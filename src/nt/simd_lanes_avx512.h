@@ -68,6 +68,22 @@ shoupMulLazy16(__m512i x, __m512i wV, __m512i wsLoV, __m512i wsHiV,
     return mergeHalves(re, ro);
 }
 
+/**
+ * shoupMulLazy on 16 u32 lanes with a per-lane constant: lane l
+ * multiplies by (w, wsHi:wsLo) taken from lane l of the three u32
+ * vectors. The odd half reads the constants' odd dwords shifted down.
+ */
+inline __m512i
+shoupMulLazy16Lanes(__m512i x, __m512i w, __m512i wsLo, __m512i wsHi,
+                    __m512i qV)
+{
+    const __m512i re = shoupMulLazyHalf(x, w, wsLo, wsHi, qV);
+    const __m512i ro = shoupMulLazyHalf(
+        _mm512_srli_epi64(x, 32), _mm512_srli_epi64(w, 32),
+        _mm512_srli_epi64(wsLo, 32), _mm512_srli_epi64(wsHi, 32), qV);
+    return mergeHalves(re, ro);
+}
+
 /** Montgomery reduce u64 lanes z = a*b (a, b < q) into [0, 2q). */
 inline __m512i
 montReduce64(__m512i z, __m512i qV, __m512i qInvV)

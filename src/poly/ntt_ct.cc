@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitops.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "nt/modops.h"
@@ -96,6 +97,62 @@ inverseStrict(u32 *a, const NttTables &tab)
         a[j] = nt::shoupMul(a[j], ninv, q);
 }
 
+/**
+ * `stages` lazy CT stages over a[lo, hi), the first of stride t; every
+ * block of those stages lies inside the range. Strides below the
+ * kernel span run in the in-register small-stride kernel, unless the
+ * whole transform is narrower than the span.
+ */
+void
+forwardStages(u32 *a, const NttTables &tab, const detail::NttKernels &ker,
+              u32 lo, u32 hi, u32 t, u32 stages)
+{
+    const u32 n = tab.degree();
+    const u32 q = tab.modulus();
+    const bool in_registers = n >= ker.span;
+    for (; stages > 0 && !(in_registers && t < ker.span);
+         --stages, t >>= 1) {
+        for (u32 j1 = lo; j1 < hi; j1 += 2 * t)
+            ker.fwdButterflyLazy(a + j1, a + j1 + t, t,
+                                 tab.psiBr(detail::twiddleIndex(n, j1, t)),
+                                 q);
+        CROSS_NTT_CHECK_RANGE(a + lo, hi - lo, 4ULL * q,
+                              "NTT forward: lazy [0,4q) invariant");
+    }
+    if (stages > 0) {
+        ker.fwdSmallStrides(a, lo, hi, tab.psiBrRow(), q, stages);
+        CROSS_NTT_CHECK_RANGE(a + lo, hi - lo, 4ULL * q,
+                              "NTT forward: lazy [0,4q) invariant");
+    }
+}
+
+/** `stages` lazy GS stages over a[lo, hi), strides 1, 2, 4, ...; the
+ *  strides below the kernel span run in registers. */
+void
+inverseStages(u32 *a, const NttTables &tab, const detail::NttKernels &ker,
+              u32 lo, u32 hi, u32 stages)
+{
+    const u32 n = tab.degree();
+    const u32 q = tab.modulus();
+    u32 t = 1;
+    if (n >= ker.span && stages > 0) {
+        const u32 s = std::min(stages, ilog2(ker.span));
+        ker.invSmallStrides(a, lo, hi, tab.psiInvBrRow(), q, s);
+        CROSS_NTT_CHECK_RANGE(a + lo, hi - lo, 2ULL * q,
+                              "NTT inverse: lazy [0,2q) invariant");
+        stages -= s;
+        t <<= s;
+    }
+    for (; stages > 0; --stages, t <<= 1) {
+        for (u32 j1 = lo; j1 < hi; j1 += 2 * t)
+            ker.invButterflyLazy(
+                a + j1, a + j1 + t, t,
+                tab.psiInvBr(detail::twiddleIndex(n, j1, t)), q);
+        CROSS_NTT_CHECK_RANGE(a + lo, hi - lo, 2ULL * q,
+                              "NTT inverse: lazy [0,2q) invariant");
+    }
+}
+
 } // namespace
 
 void
@@ -112,17 +169,7 @@ forwardInPlace(u32 *a, const NttTables &tab)
     // canonical reduction happens at the output. Identical residues to
     // forwardStrict, so the final fold restores the exact same bits.
     const auto &ker = detail::activeNttKernels();
-    u32 t = n;
-    for (u32 m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        for (u32 i = 0; i < m; ++i) {
-            const u32 j1 = 2 * i * t;
-            ker.fwdButterflyLazy(a + j1, a + j1 + t, t, tab.psiBr(m + i),
-                                 q);
-        }
-        CROSS_NTT_CHECK_RANGE(a, n, 4ULL * q,
-                              "NTT forward: lazy [0,4q) invariant");
-    }
+    forwardStages(a, tab, ker, 0, n, n / 2, ilog2(n));
     ker.fold4q(a, n, q);
     CROSS_NTT_CHECK_RANGE(a, n, q, "NTT forward: canonical output");
 }
@@ -139,23 +186,33 @@ inverseInPlace(u32 *a, const NttTables &tab)
     // Lazy Gentleman-Sande: the [0, 2q) invariant holds into and out of
     // every stage; the final N^-1 Shoup multiply accepts the lazy input
     // and emits canonical [0, q) directly.
-    const auto &ker = detail::activeNttKernels();
-    u32 t = 1;
-    for (u32 m = n; m > 1; m >>= 1) {
-        u32 j1 = 0;
-        const u32 h = m >> 1;
-        for (u32 i = 0; i < h; ++i) {
-            ker.invButterflyLazy(a + j1, a + j1 + t, t,
-                                 tab.psiInvBr(h + i), q);
-            j1 += 2 * t;
-        }
-        t <<= 1;
-        CROSS_NTT_CHECK_RANGE(a, n, 2ULL * q,
-                              "NTT inverse: lazy [0,2q) invariant");
-    }
+    inverseStages(a, tab, detail::activeNttKernels(), 0, n, ilog2(n));
     nt::mulShoupVec(a, a, tab.nInv(), n, q);
     CROSS_NTT_CHECK_RANGE(a, n, q, "NTT inverse: canonical output");
 }
+
+namespace detail {
+
+void
+forwardLazyStages(u32 *a, const NttTables &tab, u32 stages)
+{
+    internalCheck(lazyEligible(tab.modulus()) &&
+                      stages <= ilog2(tab.degree()),
+                  "forwardLazyStages: lazy modulus and stage count");
+    const u32 n = tab.degree();
+    forwardStages(a, tab, activeNttKernels(), 0, n, n / 2, stages);
+}
+
+void
+inverseLazyStages(u32 *a, const NttTables &tab, u32 stages)
+{
+    internalCheck(lazyEligible(tab.modulus()) &&
+                      stages <= ilog2(tab.degree()),
+                  "inverseLazyStages: lazy modulus and stage count");
+    inverseStages(a, tab, activeNttKernels(), 0, tab.degree(), stages);
+}
+
+} // namespace detail
 
 namespace {
 
@@ -239,20 +296,10 @@ forwardInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
         const u32 chunk = static_cast<u32>(w % parts);
         u32 *a = polys[poly];
         const NttTables &tab = *tabs[poly];
-        const u32 q = tab.modulus();
         const u32 c0 = chunk * chunk_len;
-        u32 tt = chunk_len;
-        for (u32 m = parts; m < n; m <<= 1) {
-            tt >>= 1;
-            const u32 i0 = c0 / (2 * tt);
-            const u32 i1 = (c0 + chunk_len) / (2 * tt);
-            for (u32 i = i0; i < i1; ++i) {
-                const u32 j1 = 2 * i * tt;
-                ker.fwdButterflyLazy(a + j1, a + j1 + tt, tt,
-                                     tab.psiBr(m + i), q);
-            }
-        }
-        ker.fold4q(a + c0, chunk_len, q);
+        forwardStages(a, tab, ker, c0, c0 + chunk_len, chunk_len / 2,
+                      ilog2(chunk_len));
+        ker.fold4q(a + c0, chunk_len, tab.modulus());
     });
 }
 
@@ -286,23 +333,9 @@ inverseInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
     // log2(parts) stages span chunks and go stage-parallel.
     parallelFor(0, count * parts, [&](size_t w) {
         const size_t poly = w / parts;
-        const u32 chunk = static_cast<u32>(w % parts);
-        u32 *a = polys[poly];
-        const NttTables &tab = *tabs[poly];
-        const u32 q = tab.modulus();
-        const u32 c0 = chunk * chunk_len;
-        u32 t = 1;
-        for (u32 m = n; m >= 2 * parts; m >>= 1) {
-            const u32 h = m >> 1;
-            const u32 i0 = c0 / (2 * t);
-            const u32 i1 = (c0 + chunk_len) / (2 * t);
-            for (u32 i = i0; i < i1; ++i) {
-                const u32 j1 = 2 * i * t;
-                ker.invButterflyLazy(a + j1, a + j1 + t, t,
-                                     tab.psiInvBr(h + i), q);
-            }
-            t <<= 1;
-        }
+        const u32 c0 = static_cast<u32>(w % parts) * chunk_len;
+        inverseStages(polys[poly], *tabs[poly], ker, c0, c0 + chunk_len,
+                      ilog2(chunk_len));
     });
     u32 t = chunk_len;
     for (u32 m = parts; m > 1; m >>= 1) {

@@ -32,6 +32,29 @@ fold4qScalar(u32 *a, size_t len, u32 q)
         a[j] = fold4qOne(a[j], q, two_q);
 }
 
+// The scalar path has one lane, so span 2: its small-stride entries
+// are the plain loop over the t = 1 stage.
+
+void
+fwdSmallStridesScalar(u32 *a, u32 lo, u32 hi, const ShoupTwiddles &tw,
+                      u32 q, u32 /*stages*/)
+{
+    const u32 two_q = 2 * q;
+    for (u32 j = lo; j < hi; j += 2)
+        fwdButterflyLazyOne(a + j, a + j + 1,
+                            tw[twiddleIndex(tw.size(), j, 1)], q, two_q);
+}
+
+void
+invSmallStridesScalar(u32 *a, u32 lo, u32 hi, const ShoupTwiddles &tw,
+                      u32 q, u32 /*stages*/)
+{
+    const u32 two_q = 2 * q;
+    for (u32 j = lo; j < hi; j += 2)
+        invButterflyLazyOne(a + j, a + j + 1,
+                            tw[twiddleIndex(tw.size(), j, 1)], q, two_q);
+}
+
 } // namespace
 
 const NttKernels &
@@ -41,6 +64,9 @@ nttKernelsScalar()
         fwdButterflyLazyScalar,
         invButterflyLazyScalar,
         fold4qScalar,
+        2,
+        fwdSmallStridesScalar,
+        invSmallStridesScalar,
     };
     return k;
 }

@@ -12,10 +12,15 @@
  * Requires q < 2^30 so 4q fits u32; ntt_ct.cc falls back to the strict
  * scalar kernels for wider moduli.
  *
- * Every entry processes one butterfly block range: x[j] pairs with
- * y[j] (y = x + t in the transform), a constant twiddle per call.
+ * The butterfly entries process one block range: x[j] pairs with y[j]
+ * (y = x + t in the transform), a constant twiddle per call. Stages
+ * whose stride t is below `span` (twice the vector width) have blocks
+ * narrower than a vector, so they go to the small-stride entries
+ * instead: each loads `span` coefficients into two registers, runs its
+ * stages there (re-pairing lanes between stages) and stores once.
  * The scalar one-element helpers below ARE the semantics; the vector
- * kernels must match them bit-for-bit (enforced by tests/simd_test.cc).
+ * kernels must match them bit-for-bit, at the transform outputs and at
+ * every stage boundary (enforced by tests/simd_test.cc).
  */
 #pragma once
 
@@ -23,6 +28,7 @@
 
 #include "common/types.h"
 #include "nt/shoup.h"
+#include "poly/ntt_tables.h"
 
 namespace cross::poly::detail {
 
@@ -71,6 +77,17 @@ fold4qOne(u32 v, u32 q, u32 two_q)
     return v;
 }
 
+/**
+ * Twiddle of the butterfly block holding coefficient j at stride t in
+ * a degree-n transform: index n/(2t) + j/(2t) of the bit-reversed row
+ * (the `m + i` of the textbook loops).
+ */
+constexpr u32
+twiddleIndex(u32 n, u32 j, u32 t)
+{
+    return (n + j) / (2 * t);
+}
+
 /** One dispatch path's butterfly-block kernels. */
 struct NttKernels
 {
@@ -79,6 +96,22 @@ struct NttKernels
     void (*invButterflyLazy)(u32 *x, u32 *y, size_t len, nt::ShoupConst c,
                              u32 q);
     void (*fold4q)(u32 *a, size_t len, u32 q);
+
+    /** Coefficients one small-stride call holds in registers: twice
+     *  the vector width in u32 lanes (2 for the one-lane scalar path). */
+    u32 span;
+    /**
+     * The first `stages` (1..log2(span)) of the forward CT stages with
+     * stride below span -- strides span/2, span/4, ... -- over a[lo, hi),
+     * lazy [0, 4q) in and out. lo and hi are multiples of span and
+     * `tw` is the transform's psi^bitrev row.
+     */
+    void (*fwdSmallStrides)(u32 *a, u32 lo, u32 hi, const ShoupTwiddles &tw,
+                            u32 q, u32 stages);
+    /** The first `stages` inverse GS stages -- strides 1, 2, 4, ... --
+     *  over a[lo, hi), lazy [0, 2q) in and out; `tw` is psi^-bitrev. */
+    void (*invSmallStrides)(u32 *a, u32 lo, u32 hi, const ShoupTwiddles &tw,
+                            u32 q, u32 stages);
 };
 
 const NttKernels &nttKernelsScalar();
@@ -91,5 +124,16 @@ const NttKernels &nttKernelsAvx512();
 
 /** The table for the currently dispatched ISA (nt/simd_dispatch.h). */
 const NttKernels &activeNttKernels();
+
+/**
+ * The first `stages` lazy forward stages of forwardInPlace under the
+ * active dispatch, without the canonical fold: the values at that
+ * stage boundary. Requires q < 2^30.
+ */
+void forwardLazyStages(u32 *a, const NttTables &tab, u32 stages);
+
+/** The first `stages` lazy inverse stages of inverseInPlace, without
+ *  the N^-1 scaling. Requires q < 2^30. */
+void inverseLazyStages(u32 *a, const NttTables &tab, u32 stages);
 
 } // namespace cross::poly::detail

@@ -7,6 +7,27 @@
 
 namespace cross::poly {
 
+namespace {
+
+void
+reserveRow(ShoupTwiddles &row, u32 n)
+{
+    row.w.reserve(n);
+    row.wShoupLo.reserve(n);
+    row.wShoupHi.reserve(n);
+}
+
+void
+appendShoup(ShoupTwiddles &row, u32 w, u32 q)
+{
+    const nt::ShoupConst c = nt::shoupPrecompute(w, q);
+    row.w.push_back(c.w);
+    row.wShoupLo.push_back(static_cast<u32>(c.wShoup));
+    row.wShoupHi.push_back(static_cast<u32>(c.wShoup >> 32));
+}
+
+} // namespace
+
 NttTables::NttTables(u32 n, u32 q) : n_(n), q_(q)
 {
     requireThat(isPow2(n), "NttTables: N must be a power of two");
@@ -17,14 +38,13 @@ NttTables::NttTables(u32 n, u32 q) : n_(n), q_(q)
     psiInv_ = static_cast<u32>(nt::invMod(psi_, q));
 
     const u32 bits = ilog2(n);
-    psiBr_.reserve(n);
-    psiInvBr_.reserve(n);
+    reserveRow(psiBr_, n);
+    reserveRow(psiInvBr_, n);
     for (u32 i = 0; i < n; ++i) {
         const u64 e = bitReverse(i, bits);
-        psiBr_.push_back(nt::shoupPrecompute(
-            static_cast<u32>(nt::powMod(psi_, e, q)), q));
-        psiInvBr_.push_back(nt::shoupPrecompute(
-            static_cast<u32>(nt::powMod(psiInv_, e, q)), q));
+        appendShoup(psiBr_, static_cast<u32>(nt::powMod(psi_, e, q)), q);
+        appendShoup(psiInvBr_, static_cast<u32>(nt::powMod(psiInv_, e, q)),
+                    q);
     }
     nInv_ = nt::shoupPrecompute(static_cast<u32>(nt::invMod(n, q)), q);
 }

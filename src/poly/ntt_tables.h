@@ -17,6 +17,25 @@
 
 namespace cross::poly {
 
+/**
+ * One twiddle row of Shoup constants as three contiguous u32 arrays
+ * (w, low and high halves of wShoup). The SIMD small-stride NTT stages
+ * load a register of consecutive entries from each array directly.
+ */
+struct ShoupTwiddles
+{
+    std::vector<u32> w;
+    std::vector<u32> wShoupLo;
+    std::vector<u32> wShoupHi;
+
+    u32 size() const { return static_cast<u32>(w.size()); }
+
+    nt::ShoupConst operator[](u32 i) const
+    {
+        return {w[i], static_cast<u64>(wShoupHi[i]) << 32 | wShoupLo[i]};
+    }
+};
+
 /** Twiddle-factor tables for a fixed ring degree N and prime modulus q. */
 class NttTables
 {
@@ -34,10 +53,16 @@ class NttTables
     u32 psi() const { return psi_; }
 
     /** psi^bitrev(i), Shoup form; i in [0, N). */
-    const nt::ShoupConst &psiBr(u32 i) const { return psiBr_[i]; }
+    nt::ShoupConst psiBr(u32 i) const { return psiBr_[i]; }
 
     /** psi^-bitrev(i), Shoup form. */
-    const nt::ShoupConst &psiInvBr(u32 i) const { return psiInvBr_[i]; }
+    nt::ShoupConst psiInvBr(u32 i) const { return psiInvBr_[i]; }
+
+    /** The whole psi^bitrev row (forward transform twiddles). */
+    const ShoupTwiddles &psiBrRow() const { return psiBr_; }
+
+    /** The whole psi^-bitrev row (inverse transform twiddles). */
+    const ShoupTwiddles &psiInvBrRow() const { return psiInvBr_; }
 
     /** N^-1 mod q, Shoup form (final INTT scaling). */
     const nt::ShoupConst &nInv() const { return nInv_; }
@@ -50,8 +75,8 @@ class NttTables
     u32 q_;
     u32 psi_;
     u32 psiInv_;
-    std::vector<nt::ShoupConst> psiBr_;
-    std::vector<nt::ShoupConst> psiInvBr_;
+    ShoupTwiddles psiBr_;
+    ShoupTwiddles psiInvBr_;
     nt::ShoupConst nInv_;
 };
 

@@ -99,8 +99,11 @@ TEST_P(NttCtTest, Linearity)
         EXPECT_EQ(s[i], nt::addMod(a[i], b[i], q));
 }
 
+// 4 and 8 sit below every SIMD path's in-register span, 16 and 32 at
+// the AVX2 and AVX-512 spans, 8192 and 16384 are the benchmark degrees.
 INSTANTIATE_TEST_SUITE_P(Degrees, NttCtTest,
-                         ::testing::Values(8u, 16u, 64u, 256u, 1024u, 4096u));
+                         ::testing::Values(4u, 8u, 16u, 32u, 64u, 256u, 1024u,
+                                           4096u, 8192u, 16384u));
 
 // X^(N-1) * X == -1 (mod X^N + 1): the negacyclic wraparound.
 TEST(Schoolbook, NegacyclicWraparound)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Randomized dispatch-conformance suite for the runtime-selected SIMD
- * kernels (nt/modvec.h, the lazy NTT butterflies in poly/ntt_ct.cc).
+ * kernels (nt/modvec.h, the lazy NTT butterflies and in-register
+ * small-stride stages in poly/ntt_ct.cc).
  *
  * The contract under test: every dispatch path (scalar / AVX2 /
  * AVX-512) produces BIT-IDENTICAL output for all valid inputs -- the
@@ -19,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "nt/barrett.h"
@@ -30,6 +33,7 @@
 #include "nt/shoup.h"
 #include "nt/simd_dispatch.h"
 #include "poly/ntt_ct.h"
+#include "poly/ntt_kernels.h"
 #include "poly/ntt_tables.h"
 
 #include "test_util.h"
@@ -240,45 +244,47 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
 // ---------------------------------------------------------------------
 
 /**
- * Forward+inverse under the active dispatch for `count` random polys;
- * returns the forward images followed by the roundtripped inputs.
+ * One NTT direction under the active dispatch over every poly of `in`:
+ * per-poly forwardInPlace/inverseInPlace, or the batched
+ * forwardInPlaceMany/inverseInPlaceMany.
  */
 std::vector<std::vector<u32>>
-runNtt(const std::vector<std::vector<u32>> &in, const poly::NttTables &tab,
-       bool batched)
+runNtt(std::vector<std::vector<u32>> polys, const poly::NttTables &tab,
+       bool inverse, bool batched)
 {
-    const size_t count = in.size();
-    std::vector<std::vector<u32>> fwd = in, rt;
-    std::vector<u32 *> ptrs(count);
-    std::vector<const poly::NttTables *> tabs(count, &tab);
-    for (size_t i = 0; i < count; ++i)
-        ptrs[i] = fwd[i].data();
-    if (batched)
-        poly::forwardInPlaceMany(ptrs.data(), tabs.data(), count);
-    else
+    const size_t count = polys.size();
+    if (batched) {
+        std::vector<u32 *> ptrs(count);
+        std::vector<const poly::NttTables *> tabs(count, &tab);
         for (size_t i = 0; i < count; ++i)
-            poly::forwardInPlace(fwd[i].data(), tab);
-    rt = fwd;
-    for (size_t i = 0; i < count; ++i)
-        ptrs[i] = rt[i].data();
-    if (batched)
-        poly::inverseInPlaceMany(ptrs.data(), tabs.data(), count);
-    else
-        for (size_t i = 0; i < count; ++i)
-            poly::inverseInPlace(rt[i].data(), tab);
-    std::vector<std::vector<u32>> out = std::move(fwd);
-    for (auto &v : rt)
-        out.push_back(std::move(v));
-    return out;
+            ptrs[i] = polys[i].data();
+        if (inverse)
+            poly::inverseInPlaceMany(ptrs.data(), tabs.data(), count);
+        else
+            poly::forwardInPlaceMany(ptrs.data(), tabs.data(), count);
+    } else {
+        for (auto &p : polys) {
+            if (inverse)
+                poly::inverseInPlace(p.data(), tab);
+            else
+                poly::forwardInPlace(p.data(), tab);
+        }
+    }
+    return polys;
 }
+
+/** NTT degrees: below, at and above every path's in-register span (2,
+ *  16 and 32 coefficients) and the hebench degrees up to 2^14. */
+const u32 kNttDegrees[] = {4u,   8u,    16u,   32u,   64u,
+                           256u, 2048u, 4096u, 16384u};
 
 TEST(SimdConformance, NttBitIdenticalAcrossIsasAndThreads)
 {
     Rng rng(97);
     // 20..29-bit moduli take the lazy Harvey path (q < 2^30); 30/31-bit
     // ones exercise the strict fallback.
-    for (u32 bits : {20u, 28u, 31u}) {
-        for (u32 n : {64u, 256u, 2048u}) {
+    for (u32 bits : {20u, 28u, 30u, 31u}) {
+        for (u32 n : kNttDegrees) {
             const u32 q = static_cast<u32>(
                 nt::generateNttPrimes(bits, 1, 2ull * n)[0]);
             const poly::NttTables tab(n, q);
@@ -286,30 +292,93 @@ TEST(SimdConformance, NttBitIdenticalAcrossIsasAndThreads)
             for (auto &v : in)
                 v = randomVec(rng, n, q);
 
-            std::vector<std::vector<u32>> ref;
+            std::vector<std::vector<u32>> fwd_ref, inv_ref;
             {
                 IsaGuard g(nt::SimdIsa::Scalar);
-                ref = runNtt(in, tab, false);
-            }
-            // Roundtrip sanity on the scalar reference itself.
-            for (size_t i = 0; i < in.size(); ++i)
-                ASSERT_EQ(ref[in.size() + i], in[i])
+                fwd_ref = runNtt(in, tab, false, false);
+                inv_ref = runNtt(in, tab, true, false);
+                // Roundtrip sanity on the scalar reference itself.
+                ASSERT_EQ(runNtt(fwd_ref, tab, true, false), in)
                     << "scalar roundtrip bits=" << bits << " n=" << n;
+            }
 
             for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
                              nt::SimdIsa::Avx512}) {
                 if (!nt::simdIsaAvailable(isa))
                     continue;
                 IsaGuard g(isa);
-                EXPECT_EQ(runNtt(in, tab, false), ref)
-                    << "per-poly isa=" << nt::simdIsaName(isa)
-                    << " bits=" << bits << " n=" << n;
-                for (u32 threads : {1u, testThreads()}) {
+                const std::string where = std::string(" isa=") +
+                    nt::simdIsaName(isa) + " bits=" + std::to_string(bits) +
+                    " n=" + std::to_string(n);
+                EXPECT_EQ(runNtt(in, tab, false, false), fwd_ref)
+                    << "per-poly forward" << where;
+                EXPECT_EQ(runNtt(in, tab, true, false), inv_ref)
+                    << "per-poly inverse" << where;
+                // One poly under 4 threads splits each transform into
+                // 4 coefficient chunks (n >= 2048), 3 polys keep the
+                // per-poly split.
+                for (u32 threads : {1u, 4u}) {
                     ThreadGuard tg(threads);
-                    EXPECT_EQ(runNtt(in, tab, true), ref)
-                        << "batched isa=" << nt::simdIsaName(isa)
-                        << " bits=" << bits << " n=" << n
-                        << " threads=" << threads;
+                    for (size_t count : {size_t{1}, in.size()}) {
+                        const std::vector<std::vector<u32>> sub(
+                            in.begin(), in.begin() + count);
+                        const std::string at = where + " threads=" +
+                            std::to_string(threads) +
+                            " polys=" + std::to_string(count);
+                        EXPECT_EQ(runNtt(sub, tab, false, true),
+                                  std::vector<std::vector<u32>>(
+                                      fwd_ref.begin(),
+                                      fwd_ref.begin() + count))
+                            << "batched forward" << at;
+                        EXPECT_EQ(runNtt(sub, tab, true, true),
+                                  std::vector<std::vector<u32>>(
+                                      inv_ref.begin(),
+                                      inv_ref.begin() + count))
+                            << "batched inverse" << at;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Every lazy stage boundary, not only the transform outputs: the
+ * values after the first k forward (resp. inverse) stages match the
+ * scalar path bit for bit for every k, including the boundaries
+ * inside the in-register small-stride stages.
+ */
+TEST(SimdConformance, NttStageBoundariesBitIdenticalAcrossIsas)
+{
+    Rng rng(2026);
+    for (u32 bits : {20u, 24u, 28u, 29u}) {
+        for (u32 n : kNttDegrees) {
+            const u32 q = static_cast<u32>(
+                nt::generateNttPrimes(bits, 1, 2ull * n)[0]);
+            const poly::NttTables tab(n, q);
+            const std::vector<u32> in = randomVec(rng, n, q);
+            for (u32 k = 0; k <= ilog2(n); ++k) {
+                std::vector<u32> fwd_ref = in, inv_ref = in;
+                {
+                    IsaGuard g(nt::SimdIsa::Scalar);
+                    poly::detail::forwardLazyStages(fwd_ref.data(), tab, k);
+                    poly::detail::inverseLazyStages(inv_ref.data(), tab, k);
+                }
+                for (auto isa : kVectorIsas) {
+                    if (!nt::simdIsaAvailable(isa))
+                        continue;
+                    IsaGuard g(isa);
+                    std::vector<u32> fwd = in, inv = in;
+                    poly::detail::forwardLazyStages(fwd.data(), tab, k);
+                    poly::detail::inverseLazyStages(inv.data(), tab, k);
+                    EXPECT_EQ(fwd, fwd_ref)
+                        << "forward stages=" << k << " isa="
+                        << nt::simdIsaName(isa) << " bits=" << bits
+                        << " n=" << n;
+                    EXPECT_EQ(inv, inv_ref)
+                        << "inverse stages=" << k << " isa="
+                        << nt::simdIsaName(isa) << " bits=" << bits
+                        << " n=" << n;
                 }
             }
         }
