@@ -6,6 +6,8 @@
  * complementing the simulated TPU numbers.
  */
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -278,6 +280,109 @@ dispatchSweep(bench::Reporter &rep)
     t.print(std::cout);
 }
 
+/**
+ * The key-switch inner product at the Set C shape (k = 3 digits,
+ * N = 2^14, 28-bit q), two ways on identical inputs under every
+ * available SIMD path: the fused dotModVec lane, and the chain it
+ * replaced (k mulMontVec products, each folded into the sum by
+ * addModVec). Both produce the same residues; the check below fails
+ * the run if they do not. Emits micro_modred/dot_mod keyed {impl,
+ * isa, k, n} and micro_modred/dot_vs_mul_add keyed {isa} whose
+ * items_per_sec is the chain-time / fused-time ratio. Unbanded in
+ * fidelity_tolerance.json until data from more hosts has accumulated.
+ */
+void
+dotSweep(bench::Reporter &rep)
+{
+    constexpr size_t kDigits = 3;
+    constexpr size_t kDegree = size_t{1} << 14;
+    const nt::Barrett bar(kQ);
+    const nt::Montgomery mont(kQ);
+    Rng rng(31);
+    std::vector<std::vector<u32>> a(kDigits), b(kDigits);
+    std::vector<const u32 *> pa(kDigits), pb(kDigits);
+    for (size_t t = 0; t < kDigits; ++t) {
+        a[t].resize(kDegree);
+        b[t].resize(kDegree);
+        for (size_t j = 0; j < kDegree; ++j) {
+            a[t][j] = static_cast<u32>(rng.uniform(kQ));
+            b[t][j] = static_cast<u32>(rng.uniform(kQ));
+        }
+        pa[t] = a[t].data();
+        pb[t] = b[t].data();
+    }
+    std::vector<u32> fused(kDegree), chain(kDegree), tmp(kDegree);
+    auto run_fused = [&] {
+        nt::dotModVec(fused.data(), pa.data(), pb.data(), kDigits, kDegree,
+                      bar);
+    };
+    auto run_chain = [&] {
+        nt::mulMontVec(chain.data(), pa[0], pb[0], kDegree, mont);
+        for (size_t t = 1; t < kDigits; ++t) {
+            nt::mulMontVec(tmp.data(), pa[t], pb[t], kDegree, mont);
+            nt::addModVec(chain.data(), chain.data(), tmp.data(), kDegree,
+                          kQ);
+        }
+    };
+    auto best_ns = [](auto &&fn, const std::vector<u32> &out) {
+        constexpr int kIters = 200;
+        for (int i = 0; i < kIters / 4; ++i)
+            fn();
+        double best = 1e30;
+        for (int round = 0; round < 5; ++round) {
+            WallTimer w;
+            for (int i = 0; i < kIters; ++i) {
+                fn();
+                benchmark::DoNotOptimize(out.data());
+            }
+            best = std::min(best, w.seconds() * 1e9 / kIters);
+        }
+        return best;
+    };
+
+    const nt::SimdIsa prev = nt::activeSimdIsa();
+    TablePrinter t("Key-switch inner product: fused dotModVec vs "
+                   "mulMontVec + addModVec, k = 3, N = 2^14, 28-bit q");
+    t.header({"ISA", "fused us", "mul+add us", "speedup"});
+    const std::string k_str = std::to_string(kDigits);
+    const std::string n_str = std::to_string(kDegree);
+    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                     nt::SimdIsa::Avx512}) {
+        if (!nt::simdIsaAvailable(isa))
+            continue;
+        nt::setSimdIsa(isa);
+        const double fused_ns = best_ns(run_fused, fused);
+        const double chain_ns = best_ns(run_chain, chain);
+        if (fused != chain)
+            throw std::runtime_error(
+                "dotSweep: dotModVec differs from mulMontVec + addModVec");
+        const char *isa_name = nt::simdIsaName(isa);
+        const double items = static_cast<double>(kDigits * kDegree);
+        rep.add("micro_modred/dot_mod",
+                {{"impl", "fused"}, {"isa", isa_name}, {"k", k_str},
+                 {"n", n_str}},
+                fused_ns, items * 1e9 / fused_ns);
+        rep.add("micro_modred/dot_mod",
+                {{"impl", "mul_add"}, {"isa", isa_name}, {"k", k_str},
+                 {"n", n_str}},
+                chain_ns, items * 1e9 / chain_ns);
+        rep.add("micro_modred/dot_vs_mul_add", {{"isa", isa_name}}, 0.0,
+                chain_ns / fused_ns);
+        t.row({isa_name, fmtF(fused_ns / 1e3, 1), fmtF(chain_ns / 1e3, 1),
+               fmtX(chain_ns / fused_ns, 2)});
+    }
+    nt::setSimdIsa(prev);
+    t.print(std::cout);
+}
+
+/** The post-run sweeps, in order. */
+void
+postRun(bench::Reporter &rep)
+{
+    dispatchSweep(rep);
+    dotSweep(rep);
+}
+
 } // namespace
 
-CROSS_BENCHMARK_MAIN_EXTRA("micro_modred", dispatchSweep);
+CROSS_BENCHMARK_MAIN_EXTRA("micro_modred", postRun);

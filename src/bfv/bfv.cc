@@ -301,21 +301,20 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     const RnsPoly b0 = modUpToQb(ctx_, b.c0, log_);
     const RnsPoly b1 = modUpToQb(ctx_, b.c1, log_);
 
-    // Tensor in eval domain: (d0, d1, d2).
+    // Tensor in eval domain: (d0, d1, d2), with d1 = a0*b1 + a1*b0 as
+    // one fused inner product (its VecModAdd carries no time).
     WallTimer tm;
-    RnsPoly d0 = a0;
-    d0.mulPointwiseInPlace(b0);
-    RnsPoly d2 = a1;
-    d2.mulPointwiseInPlace(b1);
-    RnsPoly d1 = a0;
-    d1.mulPointwiseInPlace(b1);
-    RnsPoly d1b = a1;
-    d1b.mulPointwiseInPlace(b0);
+    RnsPoly d0(ctx_.ring(), full, true), d1(ctx_.ring(), full, true),
+        d2(ctx_.ring(), full, true);
+    const RnsPoly *x0[] = {&a0}, *y0[] = {&b0};
+    const RnsPoly *x1[] = {&a0, &a1}, *y1[] = {&b1, &b0};
+    const RnsPoly *x2[] = {&a1}, *y2[] = {&b1};
+    d0.setInnerProduct(x0, y0, 1);
+    d1.setInnerProduct(x1, y1, 2);
+    d2.setInnerProduct(x2, y2, 1);
     logCall(KernelKind::VecModMul, static_cast<u32>(4 * full), 0,
             tm.seconds());
-    WallTimer ta;
-    d1.addInPlace(d1b);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0, ta.seconds());
+    logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0, 0.0);
 
     // Scale by t/Q in RNS: Q u B -> Q.
     WallTimer ti;
@@ -371,18 +370,22 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
     c_coeff.toCoeff();
     logCall(KernelKind::Intt, static_cast<u32>(l), 0, ti.seconds());
 
-    RnsPoly acc0(ctx_.ring(), l, true);
-    RnsPoly acc1(ctx_.ring(), l, true);
+    // Lift every digit first, then run the inner product with the key
+    // digits as one fused pass that reads them in place. The log keeps
+    // its per-digit order (BConv, Ntt, VecModMul, VecModAdd), with the
+    // fused time in even shares on the VecModMul entries.
+    std::vector<RnsPoly> ups;
+    ups.reserve(l);
+    std::vector<double> bconv_s(l), ntt_s(l);
     for (size_t i = 0; i < l; ++i) {
         // Digit i: limb i exact, converted to the other q limbs.
         WallTimer tb;
         rns::LimbMatrix in = {c_coeff.limb(i)}, out;
         ctx_.digitConversion(i).apply(in, out);
-        logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1),
-                tb.seconds());
+        bconv_s[i] = tb.seconds();
 
         WallTimer tn;
-        RnsPoly up(ctx_.ring(), l, true);
+        RnsPoly &up = ups.emplace_back(ctx_.ring(), l, true);
         size_t pos = 0;
         for (size_t j = 0; j < l; ++j) {
             if (j == i) {
@@ -393,24 +396,28 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
                                      ctx_.ring().tables(j));
             }
         }
-        logCall(KernelKind::Ntt, static_cast<u32>(l - 1), 0, tn.seconds());
-
-        WallTimer tmul;
-        RnsPoly kb = swk.digits[i].first;
-        kb.truncateLimbs(l);
-        RnsPoly ka = swk.digits[i].second;
-        ka.truncateLimbs(l);
-        kb.mulPointwiseInPlace(up);
-        ka.mulPointwiseInPlace(up);
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * l), 0,
-                tmul.seconds());
-        WallTimer tadd;
-        acc0.addInPlace(kb);
-        acc1.addInPlace(ka);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0,
-                tadd.seconds());
+        ntt_s[i] = tn.seconds();
     }
-    return {std::move(acc0), std::move(acc1)};
+    std::vector<const RnsPoly *> x(l), kb(l), ka(l);
+    for (size_t i = 0; i < l; ++i) {
+        x[i] = &ups[i];
+        kb[i] = &swk.digits[i].first;
+        ka[i] = &swk.digits[i].second;
+    }
+
+    WallTimer tmul;
+    std::pair<RnsPoly, RnsPoly> acc{RnsPoly(ctx_.ring(), l, true),
+                                    RnsPoly(ctx_.ring(), l, true)};
+    acc.first.setInnerProduct(kb.data(), x.data(), l);
+    acc.second.setInnerProduct(ka.data(), x.data(), l);
+    const double share = tmul.seconds() / static_cast<double>(l);
+    for (size_t i = 0; i < l; ++i) {
+        logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1), bconv_s[i]);
+        logCall(KernelKind::Ntt, static_cast<u32>(l - 1), 0, ntt_s[i]);
+        logCall(KernelKind::VecModMul, static_cast<u32>(2 * l), 0, share);
+        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0, 0.0);
+    }
+    return acc;
 }
 
 BfvCiphertext

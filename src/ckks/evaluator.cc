@@ -70,25 +70,27 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
                                const Ciphertext &b) const
 {
     const size_t limbs = std::min(a.limbs(), b.limbs());
-    Ciphertext aa = reduceToLimbs(a, limbs);
-    Ciphertext bb = reduceToLimbs(b, limbs);
-
+    requireThat(limbs >= 1, "multiplyNoRelin: empty operand");
+    // The tensor reads the operands' first `limbs` limbs in place; the
+    // cross term a0*b1 + a1*b0 is one fused inner product, so its
+    // VecModAdd is logged with no time of its own.
+    const std::vector<u32> slots(a.c0.slots().begin(),
+                                 a.c0.slots().begin() + limbs);
     WallTimer t;
     Ciphertext3 r;
-    r.c0 = aa.c0;
-    r.c0.mulPointwiseInPlace(bb.c0);        // a0*b0
-    r.c2 = aa.c1;
-    r.c2.mulPointwiseInPlace(bb.c1);        // a1*b1
-    r.c1 = aa.c0;
-    r.c1.mulPointwiseInPlace(bb.c1);        // a0*b1
-    RnsPoly t10 = aa.c1;
-    t10.mulPointwiseInPlace(bb.c0);         // a1*b0
+    r.c0 = RnsPoly(ctx_.ring(), slots, true);
+    r.c1 = RnsPoly(ctx_.ring(), slots, true);
+    r.c2 = RnsPoly(ctx_.ring(), slots, true);
+    const RnsPoly *a0[] = {&a.c0}, *b0[] = {&b.c0};
+    const RnsPoly *a1[] = {&a.c1}, *b1[] = {&b.c1};
+    const RnsPoly *ax[] = {&a.c0, &a.c1}, *bx[] = {&b.c1, &b.c0};
+    r.c0.setInnerProduct(a0, b0, 1);        // a0*b0
+    r.c1.setInnerProduct(ax, bx, 2);        // a0*b1 + a1*b0
+    r.c2.setInnerProduct(a1, b1, 1);        // a1*b1
     logCall(KernelKind::VecModMul, static_cast<u32>(4 * limbs), 0,
             t.seconds());
-    WallTimer t2;
-    r.c1.addInPlace(t10);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(limbs), 0, t2.seconds());
-    r.scale = aa.scale * bb.scale;
+    logCall(KernelKind::VecModAdd, static_cast<u32>(limbs), 0, 0.0);
+    r.scale = a.scale * b.scale;
     return r;
 }
 
@@ -109,11 +111,11 @@ CkksEvaluator::relinearize(const Ciphertext3 &c,
                 "relinearize: precomp level does not match ciphertext");
     auto [k0, k1] = keySwitch(c.c2, pre);
     Ciphertext r;
-    r.c0 = c.c0;
-    r.c1 = c.c1;
+    r.c0 = std::move(k0);
+    r.c1 = std::move(k1);
     WallTimer t;
-    r.c0.addInPlace(k0);
-    r.c1.addInPlace(k1);
+    r.c0.addInPlace(c.c0);
+    r.c1.addInPlace(c.c1);
     logCall(KernelKind::VecModAdd, static_cast<u32>(2 * c.c0.limbCount()),
             0, t.seconds());
     r.scale = c.scale;
@@ -283,32 +285,17 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     logCall(KernelKind::Automorphism,
             static_cast<u32>(d * ext + ct.limbs()), 0, t.seconds());
 
-    // Inner product with the rotation key, all digits in one fused
-    // multiply + one fused accumulate.
+    // Inner product with the rotation key over all digits: one fused
+    // multiply-accumulate per half, reading the shared precomp in place.
     WallTimer tm;
-    std::vector<std::pair<RnsPoly, RnsPoly>> prods;
-    prods.reserve(d);
-    for (size_t j = 0; j < d; ++j) {
-        auto [kb, ka] = pre.keys[j];
-        kb.mulPointwiseInPlace(rotated[j]);
-        ka.mulPointwiseInPlace(rotated[j]);
-        prods.emplace_back(std::move(kb), std::move(ka));
-    }
+    auto [acc0, acc1] = keyInnerProduct(rotated, pre);
     logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0,
             tm.seconds());
-    WallTimer ta;
-    RnsPoly acc0(ctx_.ring(), dec.extSlots, true);
-    RnsPoly acc1(ctx_.ring(), dec.extSlots, true);
-    for (auto &[pb, pa] : prods) {
-        acc0.addInPlace(pb);
-        acc1.addInPlace(pa);
-    }
-    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0,
-            ta.seconds());
+    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, 0.0);
 
     Ciphertext out;
-    out.c0 = modDownPhase(acc0, level);
-    out.c1 = modDownPhase(acc1, level);
+    out.c0 = modDownPhase(std::move(acc0), level);
+    out.c1 = modDownPhase(std::move(acc1), level);
     WallTimer t2;
     out.c0.addInPlace(r0);
     logCall(KernelKind::VecModAdd, static_cast<u32>(ct.limbs()), 0,
@@ -449,16 +436,8 @@ CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &c, const SwitchKey &swk) const
 {
-    const size_t level = c.limbCount() - 1;
-    requireThat(ctx_.activeDigits(level) <= swk.digits().size(),
-                "keySwitch: not enough digits");
-    const auto ext_slots = ctx_.extendedSlots(level);
-    return keySwitchImpl(c, ext_slots, [&](size_t j) {
-        // One materialisation per digit, exactly as the pre-precomp
-        // code path did.
-        return std::make_pair(swk.digits()[j].first.selectSlots(ext_slots),
-                              swk.digits()[j].second.selectSlots(ext_slots));
-    });
+    requireThat(c.limbCount() >= 1, "keySwitch: empty input");
+    return keySwitch(c, precomputeKeySwitch(swk, c.limbCount() - 1));
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -467,9 +446,47 @@ CkksEvaluator::keySwitch(const RnsPoly &c,
 {
     requireThat(c.limbCount() - 1 == pre.level,
                 "keySwitch: precomp level mismatch");
-    return keySwitchImpl(c, pre.extSlots, [&](size_t j) {
-        return pre.keys[j]; // copy of the batch-shared operands
-    });
+    const size_t level = pre.level;
+    const size_t d = ctx_.activeDigits(level);
+    const size_t ext = pre.extSlots.size();
+
+    // Phase 1 (ModUp), then phase 2 (the inner product with the key
+    // digits), then phase 3 (ModDown) -- the same three phases the
+    // hoisted rotation path runs.
+    const std::vector<RnsPoly> digits = modUpPhase(c, pre.extSlots);
+
+    // Phase 2 is one fused pass over all digits; its time is logged on
+    // the per-digit VecModMul entries in even shares.
+    WallTimer tm;
+    auto [acc0, acc1] = keyInnerProduct(digits, pre);
+    const double share = tm.seconds() / static_cast<double>(d);
+    for (size_t j = 0; j < d; ++j) {
+        logCall(KernelKind::VecModMul, static_cast<u32>(2 * ext), 0, share);
+        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * ext), 0, 0.0);
+    }
+
+    return {modDownPhase(std::move(acc0), level),
+            modDownPhase(std::move(acc1), level)};
+}
+
+std::pair<RnsPoly, RnsPoly>
+CkksEvaluator::keyInnerProduct(const std::vector<RnsPoly> &digits,
+                               const KeySwitchPrecomp &pre) const
+{
+    const size_t d = digits.size();
+    internalCheck(d >= 1 && d <= pre.keys.size(),
+                  "keyInnerProduct: digit count mismatch");
+    std::vector<const RnsPoly *> x(d), kb(d), ka(d);
+    for (size_t j = 0; j < d; ++j) {
+        x[j] = &digits[j];
+        kb[j] = &pre.keys[j].first;
+        ka[j] = &pre.keys[j].second;
+    }
+    std::pair<RnsPoly, RnsPoly> acc{RnsPoly(ctx_.ring(), pre.extSlots, true),
+                                    RnsPoly(ctx_.ring(), pre.extSlots, true)};
+    acc.first.setInnerProduct(kb.data(), x.data(), d);
+    acc.second.setInnerProduct(ka.data(), x.data(), d);
+    return acc;
 }
 
 std::vector<RnsPoly>
@@ -541,7 +558,7 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
 }
 
 RnsPoly
-CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
+CkksEvaluator::modDownPhase(RnsPoly acc, size_t level) const
 {
     // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1.
     const auto &conv = ctx_.modDownConv(level);
@@ -551,7 +568,7 @@ CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
     std::vector<u32 *> ppolys(ctx_.pCount());
     std::vector<const poly::NttTables *> ptabs(ctx_.pCount());
     for (size_t jj = 0; jj < ctx_.pCount(); ++jj) {
-        p_part[jj] = acc.limb(level + 1 + jj);
+        p_part[jj] = std::move(acc.limb(level + 1 + jj));
         ppolys[jj] = p_part[jj].data();
         ptabs[jj] = &ctx_.ring().tables(ctx_.pSlot(jj));
     }
@@ -579,54 +596,28 @@ CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
     logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0,
             tn2.seconds());
 
+    // (acc - conv) * P^-1 in acc's own Q limbs, one fused pass per
+    // chunk as in rescale.
     WallTimer tv;
-    RnsPoly res(ctx_.ring(), level + 1, true);
-    parallelFor(0, level + 1, [&](size_t i) {
-        res.limb(i) = acc.limb(i);
+    acc.truncateLimbs(level + 1);
+    std::vector<nt::ShoupConst> pinv(level + 1);
+    for (size_t i = 0; i <= level; ++i) {
+        const u32 q = static_cast<u32>(ctx_.qModulus(i));
+        pinv[i] = nt::shoupPrecompute(
+            static_cast<u32>(ctx_.pInvModQ(i) % q), q);
+    }
+    parallelFor2D(level + 1, ctx_.degree(),
+                  [&](size_t i, size_t lo, size_t hi) {
+        const u32 q = static_cast<u32>(ctx_.qModulus(i));
+        u32 *dst = acc.limb(i).data();
+        nt::subModVec(dst + lo, dst + lo, conv_q.limb(i).data() + lo,
+                      hi - lo, q);
+        nt::mulShoupVec(dst + lo, dst + lo, pinv[i], hi - lo, q);
     });
-    res.subInPlace(conv_q);
-    std::vector<u64> pinv(level + 1);
-    for (size_t i = 0; i <= level; ++i)
-        pinv[i] = ctx_.pInvModQ(i);
-    res.mulScalarPerLimbInPlace(pinv);
     logCall(KernelKind::VecModSub, static_cast<u32>(level + 1), 0, 0.0);
     logCall(KernelKind::VecModMulConst, static_cast<u32>(level + 1), 0,
             tv.seconds());
-    return res;
-}
-
-std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::keySwitchImpl(
-    const RnsPoly &c, const std::vector<u32> &ext_slots,
-    const std::function<std::pair<RnsPoly, RnsPoly>(size_t)> &key_at)
-    const
-{
-    const size_t level = c.limbCount() - 1;
-    const size_t d = ctx_.activeDigits(level);
-    const size_t ext = ext_slots.size();
-
-    // Phase 1 (ModUp), then phase 2 (per-digit inner product), then
-    // phase 3 (ModDown) -- the same three-phase structure the hoisted
-    // rotation path reuses, with identical accumulation order.
-    const std::vector<RnsPoly> digits = modUpPhase(c, ext_slots);
-
-    RnsPoly acc0(ctx_.ring(), ext_slots, true);
-    RnsPoly acc1(ctx_.ring(), ext_slots, true);
-    for (size_t j = 0; j < d; ++j) {
-        WallTimer tm;
-        auto [kb, ka] = key_at(j);
-        kb.mulPointwiseInPlace(digits[j]);
-        ka.mulPointwiseInPlace(digits[j]);
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * ext), 0,
-                tm.seconds());
-        WallTimer ta;
-        acc0.addInPlace(kb);
-        acc1.addInPlace(ka);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * ext), 0,
-                ta.seconds());
-    }
-
-    return {modDownPhase(acc0, level), modDownPhase(acc1, level)};
+    return acc;
 }
 
 } // namespace cross::ckks

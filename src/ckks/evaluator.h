@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -209,25 +208,23 @@ class CkksEvaluator
 
   private:
     /**
-     * Shared key-switch core. @p key_at materialises digit @p j's key
-     * pair restricted to @p ext_slots: the SwitchKey path selects
-     * slots directly (one materialisation, as ever), the precomp path
-     * copies the batch-shared operands.
+     * Key-switch phase 2: (sum_j b_j * digits[j], sum_j a_j * digits[j])
+     * over the key digits of @p pre, read in place, on pre.extSlots.
      */
-    std::pair<poly::RnsPoly, poly::RnsPoly> keySwitchImpl(
-        const poly::RnsPoly &c, const std::vector<u32> &ext_slots,
-        const std::function<
-            std::pair<poly::RnsPoly, poly::RnsPoly>(size_t)> &key_at)
-        const;
+    std::pair<poly::RnsPoly, poly::RnsPoly>
+    keyInnerProduct(const std::vector<poly::RnsPoly> &digits,
+                    const KeySwitchPrecomp &pre) const;
 
     /** ModUp phase body shared by hoistedModUp and keySwitchImpl. */
     std::vector<poly::RnsPoly>
     modUpPhase(const poly::RnsPoly &c,
                const std::vector<u32> &ext_slots) const;
 
-    /** ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level. */
-    poly::RnsPoly modDownPhase(const poly::RnsPoly &acc,
-                               size_t level) const;
+    /**
+     * ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level,
+     * computed in the Q limbs of @p acc, which it consumes.
+     */
+    poly::RnsPoly modDownPhase(poly::RnsPoly acc, size_t level) const;
 
     void logCall(KernelKind kind, u32 limbs, u32 limbs_out,
                  double seconds) const;

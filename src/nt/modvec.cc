@@ -56,6 +56,13 @@ mulModScalar(u32 *dst, const u32 *a, const u32 *b, size_t n, u32 q,
 }
 
 void
+dotModScalar(u32 *dst, const u32 *const *a, const u32 *const *b,
+             size_t k, size_t n, u32 q, u64 m64)
+{
+    dotModTail(dst, a, b, k, 0, n, q, m64);
+}
+
+void
 accumMulScalar(u64 *acc, const u32 *a, u32 w, size_t n)
 {
     for (size_t j = 0; j < n; ++j)
@@ -84,7 +91,8 @@ modVecKernelsScalar()
     static const ModVecKernels k = {
         addModScalar,    subModScalar,  negModScalar,
         mulShoupScalar,  mulMontScalar, mulModScalar,
-        accumMulScalar,  reduceWideScalar, reduceWideInPlaceScalar,
+        dotModScalar,    accumMulScalar,
+        reduceWideScalar, reduceWideInPlaceScalar,
     };
     return k;
 }
@@ -155,6 +163,13 @@ mulModVec(u32 *dst, const u32 *a, const u32 *b, size_t n,
           const Barrett &bar)
 {
     detail::kernels().mulMod(dst, a, b, n, bar.modulus(), bar.m64());
+}
+
+void
+dotModVec(u32 *dst, const u32 *const *a, const u32 *const *b, size_t k,
+          size_t n, const Barrett &bar)
+{
+    detail::kernels().dotMod(dst, a, b, k, n, bar.modulus(), bar.m64());
 }
 
 void

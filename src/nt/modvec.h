@@ -3,7 +3,7 @@
  * Vector lanes for the element-wise modular kernels.
  *
  * Every limb-wise hot loop in poly/ring.cc and rns/bconv.cc bottoms out
- * in one of these seven array operations. Each has a scalar
+ * in one of these array operations. Each has a scalar
  * implementation (a plain loop over the nt/ scalar primitives -- the
  * ground truth) plus AVX2 / AVX-512 variants selected at runtime
  * through nt/simd_dispatch.h. All variants are bit-identical: the
@@ -56,6 +56,32 @@ void mulModVec(u32 *dst, const u32 *a, const u32 *b, size_t n,
  * reduceEvery_ additions precisely so this product sum stays < 2^63.
  */
 void accumMulVec(u64 *acc, const u32 *a, u32 w, size_t n);
+
+/**
+ * How many products (q-1)^2 a u64 sum can hold and still meet
+ * reduceWide's z < 2^63: floor((2^63 - 1) / (q-1)^2). For q < 2^31
+ * that is >= 2 (128 at 28 bits). A sum that was reduced mid-way holds
+ * a value < q, which counts as one of those terms.
+ */
+inline size_t
+dotModWindow(u32 q)
+{
+    const u64 m = static_cast<u64>(q - 1) * (q - 1);
+    return m == 0 ? ~size_t{0}
+                  : static_cast<size_t>(((u64{1} << 63) - 1) / m);
+}
+
+/**
+ * dst[j] = (sum_t a[t][j] * b[t][j]) mod q over t < k, canonical
+ * [0, q); requires k >= 1 and a[t][j], b[t][j] < q. The u64 sums stay
+ * in registers and are reduced once with bar.reduceWide, plus once per
+ * dotModWindow(q) terms when k exceeds the window. The result is the
+ * same canonical residue as k mulMont products folded by addMod, so it
+ * is bit-identical to that chain. dst may alias any a[t] or b[t]
+ * element-for-element.
+ */
+void dotModVec(u32 *dst, const u32 *const *a, const u32 *const *b,
+               size_t k, size_t n, const Barrett &bar);
 
 /** dst[j] = bar.reduceWide(acc[j]); requires acc[j] < 2^63. */
 void reduceWideVec(u32 *dst, const u64 *acc, size_t n,

@@ -132,6 +132,51 @@ mulModAvx2(u32 *dst, const u32 *a, const u32 *b, size_t n, u32 q,
                                       m64);
 }
 
+/**
+ * 8 coefficients per step as even/odd u64 halves; the sums stay in
+ * registers across all k terms, on the scalar body's window schedule.
+ * Unlike mulMod this lane pays the emulated wide Barrett once per
+ * window, not once per product.
+ */
+void
+dotModAvx2(u32 *dst, const u32 *const *a, const u32 *const *b,
+           size_t k, size_t n, u32 q, u64 m64)
+{
+    const size_t window = dotModWindow(q);
+    const __m256i qV = _mm256_set1_epi64x(q);
+    const __m256i mLo =
+        _mm256_set1_epi64x(static_cast<i64>(m64 & 0xffffffffULL));
+    const __m256i mHi = _mm256_set1_epi64x(static_cast<i64>(m64 >> 32));
+    const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
+    size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        __m256i se = _mm256_setzero_si256();
+        __m256i so = _mm256_setzero_si256();
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                se = reduceWide64(se, qV, mLo, mHi, lo32);
+                so = reduceWide64(so, qV, mLo, mHi, lo32);
+                terms = 1;
+            }
+            const __m256i va = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a[t] + j));
+            const __m256i vb = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(b[t] + j));
+            se = _mm256_add_epi64(se, _mm256_mul_epu32(va, vb));
+            so = _mm256_add_epi64(
+                so, _mm256_mul_epu32(_mm256_srli_epi64(va, 32),
+                                     _mm256_srli_epi64(vb, 32)));
+            ++terms;
+        }
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(dst + j),
+            mergeHalves(reduceWide64(se, qV, mLo, mHi, lo32),
+                        reduceWide64(so, qV, mLo, mHi, lo32)));
+    }
+    dotModTail(dst, a, b, k, j, n, q, m64);
+}
+
 void
 accumMulAvx2(u64 *acc, const u32 *a, u32 w, size_t n)
 {
@@ -160,11 +205,9 @@ reduceWideAvx2(u32 *dst, const u64 *acc, size_t n, u32 q, u64 m64)
     const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-        const __m256i z = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + j));
-        const __m256i t = mulHi64(z, mLo, mHi, lo32);
-        __m256i r = _mm256_sub_epi64(z, mulLow64U32(t, qV));
-        r = condSubQ64(condSubQ64(r, qV), qV);
+        const __m256i r = reduceWide64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(acc + j)),
+            qV, mLo, mHi, lo32);
         _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + j),
                          packLo32(r));
     }
@@ -184,10 +227,8 @@ reduceWideInPlaceAvx2(u64 *acc, size_t n, u32 q, u64 m64)
     for (; j + 4 <= n; j += 4) {
         const __m256i z = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(acc + j));
-        const __m256i t = mulHi64(z, mLo, mHi, lo32);
-        __m256i r = _mm256_sub_epi64(z, mulLow64U32(t, qV));
-        r = condSubQ64(condSubQ64(r, qV), qV);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j), r);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j),
+                            reduceWide64(z, qV, mLo, mHi, lo32));
     }
     for (; j < n; ++j)
         acc[j] = barrettReduceWideRaw(acc[j], q, m64);
@@ -201,7 +242,8 @@ modVecKernelsAvx2()
     static const ModVecKernels k = {
         addModAvx2,    subModAvx2,  negModAvx2,
         mulShoupAvx2,  mulMontAvx2, mulModAvx2,
-        accumMulAvx2,  reduceWideAvx2, reduceWideInPlaceAvx2,
+        dotModAvx2,    accumMulAvx2,
+        reduceWideAvx2, reduceWideInPlaceAvx2,
     };
     return k;
 }

@@ -107,10 +107,7 @@ inline __m512i
 mulModHalf(__m512i ah, __m512i bh, __m512i qV, __m512i mLo, __m512i mHi,
            __m512i lo32)
 {
-    const __m512i z = _mm512_mul_epu32(ah, bh);
-    const __m512i t = mulHi64(z, mLo, mHi, lo32);
-    const __m512i r = _mm512_sub_epi64(z, _mm512_mullo_epi64(t, qV));
-    return condSubQ64(condSubQ64(r, qV), qV);
+    return reduceWide64(_mm512_mul_epu32(ah, bh), qV, mLo, mHi, lo32);
 }
 
 void
@@ -135,6 +132,47 @@ mulModAvx512(u32 *dst, const u32 *a, const u32 *b, size_t n, u32 q,
     for (; j < n; ++j)
         dst[j] = barrettReduceWideRaw(static_cast<u64>(a[j]) * b[j], q,
                                       m64);
+}
+
+/**
+ * 16 coefficients per step as even/odd u64 halves: both sums stay in
+ * registers across all k terms, with the same window schedule as the
+ * scalar body (a reduced sum counts as one term).
+ */
+void
+dotModAvx512(u32 *dst, const u32 *const *a, const u32 *const *b,
+             size_t k, size_t n, u32 q, u64 m64)
+{
+    const size_t window = dotModWindow(q);
+    const __m512i qV = _mm512_set1_epi64(q);
+    const __m512i mLo =
+        _mm512_set1_epi64(static_cast<i64>(m64 & 0xffffffffULL));
+    const __m512i mHi = _mm512_set1_epi64(static_cast<i64>(m64 >> 32));
+    const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
+    size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        __m512i se = _mm512_setzero_si512();
+        __m512i so = _mm512_setzero_si512();
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                se = reduceWide64(se, qV, mLo, mHi, lo32);
+                so = reduceWide64(so, qV, mLo, mHi, lo32);
+                terms = 1;
+            }
+            const __m512i va = _mm512_loadu_si512(a[t] + j);
+            const __m512i vb = _mm512_loadu_si512(b[t] + j);
+            se = _mm512_add_epi64(se, _mm512_mul_epu32(va, vb));
+            so = _mm512_add_epi64(
+                so, _mm512_mul_epu32(_mm512_srli_epi64(va, 32),
+                                     _mm512_srli_epi64(vb, 32)));
+            ++terms;
+        }
+        _mm512_storeu_si512(
+            dst + j, mergeHalves(reduceWide64(se, qV, mLo, mHi, lo32),
+                                 reduceWide64(so, qV, mLo, mHi, lo32)));
+    }
+    dotModTail(dst, a, b, k, j, n, q, m64);
 }
 
 void
@@ -165,11 +203,8 @@ reduceWideAvx512(u32 *dst, const u64 *acc, size_t n, u32 q, u64 m64)
     const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
     size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-        const __m512i z = _mm512_loadu_si512(acc + j);
-        const __m512i t = mulHi64(z, mLo, mHi, lo32);
-        // vpmullq (DQ) gives the low 64 bits of t*q directly.
-        __m512i r = _mm512_sub_epi64(z, _mm512_mullo_epi64(t, qV));
-        r = condSubQ64(condSubQ64(r, qV), qV);
+        const __m512i r = reduceWide64(_mm512_loadu_si512(acc + j), qV,
+                                       mLo, mHi, lo32);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
                             _mm512_cvtepi64_epi32(r));
     }
@@ -187,11 +222,9 @@ reduceWideInPlaceAvx512(u64 *acc, size_t n, u32 q, u64 m64)
     const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
     size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-        const __m512i z = _mm512_loadu_si512(acc + j);
-        const __m512i t = mulHi64(z, mLo, mHi, lo32);
-        __m512i r = _mm512_sub_epi64(z, _mm512_mullo_epi64(t, qV));
-        r = condSubQ64(condSubQ64(r, qV), qV);
-        _mm512_storeu_si512(acc + j, r);
+        _mm512_storeu_si512(acc + j,
+                            reduceWide64(_mm512_loadu_si512(acc + j), qV,
+                                         mLo, mHi, lo32));
     }
     for (; j < n; ++j)
         acc[j] = barrettReduceWideRaw(acc[j], q, m64);
@@ -205,7 +238,8 @@ modVecKernelsAvx512()
     static const ModVecKernels k = {
         addModAvx512,   subModAvx512,   negModAvx512,
         mulShoupAvx512, mulMontAvx512,  mulModAvx512,
-        accumMulAvx512, reduceWideAvx512, reduceWideInPlaceAvx512,
+        dotModAvx512,   accumMulAvx512,
+        reduceWideAvx512, reduceWideInPlaceAvx512,
     };
     return k;
 }

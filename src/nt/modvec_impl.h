@@ -14,6 +14,7 @@
 #include <cstddef>
 
 #include "common/types.h"
+#include "nt/modvec.h"
 #include "nt/shoup.h"
 
 namespace cross::nt::detail {
@@ -54,6 +55,31 @@ barrettReduceWideRaw(u64 z, u32 q, u64 m64)
     return static_cast<u32>(r);
 }
 
+/**
+ * The scalar dot-product body, shared as the tail loop of every vector
+ * kernel: one u64 sum per coefficient, reduced when the window is full
+ * and once at the end.
+ */
+inline void
+dotModTail(u32 *dst, const u32 *const *a, const u32 *const *b, size_t k,
+           size_t lo, size_t n, u32 q, u64 m64)
+{
+    const size_t window = dotModWindow(q);
+    for (size_t j = lo; j < n; ++j) {
+        u64 acc = 0;
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                acc = barrettReduceWideRaw(acc, q, m64);
+                terms = 1;
+            }
+            acc += static_cast<u64>(a[t][j]) * b[t][j];
+            ++terms;
+        }
+        dst[j] = barrettReduceWideRaw(acc, q, m64);
+    }
+}
+
 /** One dispatch path's implementations of the modvec.h operations. */
 struct ModVecKernels
 {
@@ -65,6 +91,8 @@ struct ModVecKernels
                     u32 qInv, u32 r2);
     void (*mulMod)(u32 *, const u32 *, const u32 *, size_t, u32 q,
                    u64 m64);
+    void (*dotMod)(u32 *, const u32 *const *, const u32 *const *,
+                   size_t k, size_t n, u32 q, u64 m64);
     void (*accumMul)(u64 *, const u32 *, u32, size_t);
     void (*reduceWide)(u32 *, const u64 *, size_t, u32 q, u64 m64);
     void (*reduceWideInPlace)(u64 *, size_t, u32 q, u64 m64);

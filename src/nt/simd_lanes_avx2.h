@@ -174,6 +174,19 @@ condSubQ64(__m256i r, __m256i q64)
     return _mm256_blendv_epi8(rq, r, keep);
 }
 
+/**
+ * Barrett::reduceWide on full u64 lanes z < 2^63 (m64 split into
+ * mLo/mHi dwords): u64 lanes in [0, q).
+ */
+inline __m256i
+reduceWide64(__m256i z, __m256i qV, __m256i mLo, __m256i mHi,
+             __m256i lo32)
+{
+    const __m256i t = mulHi64(z, mLo, mHi, lo32);
+    const __m256i r = _mm256_sub_epi64(z, mulLow64U32(t, qV));
+    return condSubQ64(condSubQ64(r, qV), qV);
+}
+
 /** Compress the low dwords of 4 u64 lanes into a 128-bit vector. */
 inline __m128i
 packLo32(__m256i x)

@@ -133,4 +133,18 @@ condSubQ64(__m512i r, __m512i q64)
     return _mm512_mask_sub_epi64(r, ge, r, q64);
 }
 
+/**
+ * Barrett::reduceWide on full u64 lanes z < 2^63 (m64 split into
+ * mLo/mHi dwords): u64 lanes in [0, q). vpmullq (DQ) gives the low 64
+ * bits of t*q directly.
+ */
+inline __m512i
+reduceWide64(__m512i z, __m512i qV, __m512i mLo, __m512i mHi,
+             __m512i lo32)
+{
+    const __m512i t = mulHi64(z, mLo, mHi, lo32);
+    const __m512i r = _mm512_sub_epi64(z, _mm512_mullo_epi64(t, qV));
+    return condSubQ64(condSubQ64(r, qV), qV);
+}
+
 } // namespace cross::nt::avx512

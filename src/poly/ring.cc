@@ -214,6 +214,33 @@ RnsPoly::mulPointwiseInPlace(const RnsPoly &o)
 }
 
 void
+RnsPoly::setInnerProduct(const RnsPoly *const a[], const RnsPoly *const b[],
+                         size_t k)
+{
+    internalCheck(eval_ && k >= 1, "setInnerProduct: eval domain, k >= 1");
+    for (const RnsPoly *const *ops : {a, b}) {
+        for (size_t t = 0; t < k; ++t) {
+            const RnsPoly &o = *ops[t];
+            internalCheck(o.eval_ && limbs_.size() <= o.limbs_.size(),
+                          "setInnerProduct: domain/limb mismatch");
+            for (size_t i = 0; i < limbs_.size(); ++i)
+                internalCheck(slots_[i] == o.slots_[i],
+                              "setInnerProduct: slots");
+        }
+    }
+    parallelFor2D(limbs_.size(), ring_->degree(),
+                  [&](size_t i, size_t lo, size_t hi) {
+        std::vector<const u32 *> ptrs(2 * k);
+        for (size_t t = 0; t < k; ++t) {
+            ptrs[t] = a[t]->limbs_[i].data() + lo;
+            ptrs[k + t] = b[t]->limbs_[i].data() + lo;
+        }
+        nt::dotModVec(limbs_[i].data() + lo, ptrs.data(), ptrs.data() + k,
+                      k, hi - lo, ring_->basis().barrett(slots_[i]));
+    });
+}
+
+void
 RnsPoly::mulScalarPerLimbInPlace(const std::vector<u64> &scalars)
 {
     internalCheck(scalars.size() >= limbs_.size(),

@@ -125,6 +125,16 @@ class RnsPoly
     void negateInPlace();
     /** Entry-wise product; both operands must be in eval domain. */
     void mulPointwiseInPlace(const RnsPoly &o);
+    /**
+     * Overwrite this with the inner product sum_t a[t] * b[t] over
+     * t < k, entry-wise, through one register-resident multiply-
+     * accumulate per coefficient (nt::dotModVec). The operands are read
+     * in place: each needs at least this poly's limbs, on the same
+     * slots, in eval domain. Bit-identical to k mulPointwiseInPlace
+     * products folded by addInPlace. An operand may be this poly.
+     */
+    void setInnerProduct(const RnsPoly *const a[], const RnsPoly *const b[],
+                         size_t k);
     /** Multiply limb i by scalar s_i mod q_i. */
     void mulScalarPerLimbInPlace(const std::vector<u64> &scalars);
     /** Multiply every limb by the same integer constant (reduced per limb). */

@@ -19,6 +19,11 @@
 #include "ckks/keys.h"
 #include "ckks/schedule.h"
 #include "common/rng.h"
+#include "nt/modops.h"
+#include "nt/primes.h"
+#include "poly/ring.h"
+
+#include "test_util.h"
 
 namespace cross::ckks {
 namespace {
@@ -284,6 +289,111 @@ TEST_F(CkksFixture, RotationComposition)
     const size_t half = encoder.slotCount();
     for (size_t j = 0; j < half; ++j)
         EXPECT_LT(std::abs(decoded[j] - a[(j + 3) % half]), 2e-2);
+}
+
+// ---------------------------------------------------------------------
+// Key-switch inner product against an independent oracle
+// ---------------------------------------------------------------------
+
+/**
+ * setInnerProduct on random eval-domain polys over @p slots against a
+ * test-side reference (one mulMod and one addMod per term), at 1 and
+ * testThreads() pool threads.
+ */
+void
+expectInnerProductMatchesReference(const poly::Ring &ring,
+                                   const std::vector<u32> &slots, u64 seed)
+{
+    Rng rng(seed);
+    auto random_eval = [&] {
+        poly::RnsPoly p(ring, slots, true);
+        for (size_t i = 0; i < p.limbCount(); ++i)
+            for (auto &x : p.limb(i))
+                x = static_cast<u32>(rng.uniform(p.limbModulus(i)));
+        return p;
+    };
+    for (size_t k : {1u, 2u, 3u, 5u}) {
+        std::vector<poly::RnsPoly> a, b;
+        for (size_t t = 0; t < k; ++t) {
+            a.push_back(random_eval());
+            b.push_back(random_eval());
+        }
+        std::vector<const poly::RnsPoly *> pa, pb;
+        for (size_t t = 0; t < k; ++t) {
+            pa.push_back(&a[t]);
+            pb.push_back(&b[t]);
+        }
+        poly::RnsPoly want(ring, slots, true);
+        for (size_t i = 0; i < want.limbCount(); ++i) {
+            const u64 q = want.limbModulus(i);
+            for (size_t j = 0; j < ring.degree(); ++j) {
+                u64 acc = 0;
+                for (size_t t = 0; t < k; ++t)
+                    acc = nt::addMod(
+                        acc, nt::mulMod(a[t].limb(i)[j], b[t].limb(i)[j], q),
+                        q);
+                want.limb(i)[j] = static_cast<u32>(acc);
+            }
+        }
+        for (u32 threads : {1u, testutil::testThreads()}) {
+            testutil::ThreadGuard guard(threads);
+            poly::RnsPoly got(ring, slots, true);
+            got.setInnerProduct(pa.data(), pb.data(), k);
+            EXPECT_TRUE(got == want) << "k=" << k << " threads=" << threads
+                                     << " limbs=" << slots.size();
+        }
+    }
+}
+
+TEST_F(CkksFixture, InnerProductMatchesPerCoefficientReference)
+{
+    // The key-switch basis shape: a Q prefix below the top level plus
+    // the P limbs, so the slot list skips the dropped Q limbs.
+    const std::vector<u32> slots = ctx.extendedSlots(ctx.qCount() - 3);
+    ASSERT_NE(slots.back(), slots.size() - 1) << "slot list is contiguous";
+    expectInnerProductMatchesReference(ctx.ring(), slots, 2026);
+
+    // Fewer limbs than threads at N = 4096, so the pool also splits
+    // inside a limb, on 28- to 31-bit moduli (a 31-bit sum is reduced
+    // after every second term).
+    std::vector<u64> moduli;
+    for (u32 bits : {28u, 30u, 31u, 31u}) {
+        moduli.push_back(
+            nt::generateNttPrimesAvoiding(bits, 1, 2 * 4096, moduli)[0]);
+    }
+    const poly::Ring wide(4096, moduli);
+    expectInnerProductMatchesReference(wide, {0, 2, 3}, 2027);
+}
+
+TEST_F(CkksFixture, FusedKeySwitchDecryptsAtEveryThreadCount)
+{
+    const auto rlk = keygen.relinKey();
+    const u32 k = encoder.rotationAutomorphism(1);
+    const auto rot_key = keygen.rotationKey(k);
+    const auto a = randomSlots(encoder.slotCount(), 41, 0.8);
+    const auto b = randomSlots(encoder.slotCount(), 42, 0.8);
+    const auto ca =
+        encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
+    const auto cb =
+        encryptor.encrypt(encoder.encode(b, kScale, ctx.qCount()));
+    const size_t top = ctx.qCount() - 1;
+    const auto rlk_pre = evaluator.precomputeKeySwitch(rlk, top);
+    const auto rot_pre = evaluator.precomputeKeySwitch(rot_key, top);
+    const size_t half = encoder.slotCount();
+    for (u32 threads : {1u, testutil::testThreads()}) {
+        testutil::ThreadGuard guard(threads);
+        const auto prod =
+            evaluator.rescale(evaluator.multiply(ca, cb, rlk_pre));
+        const auto dp = encoder.decode(decryptor.decrypt(prod));
+        const auto dr = encoder.decode(
+            decryptor.decrypt(evaluator.rotate(ca, k, rot_pre)));
+        for (size_t j = 0; j < half; ++j) {
+            EXPECT_LT(std::abs(dp[j] - a[j] * b[j]), 1e-2)
+                << "threads=" << threads << " slot=" << j;
+            EXPECT_LT(std::abs(dr[j] - a[(j + 1) % half]), 1e-2)
+                << "threads=" << threads << " slot=" << j;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

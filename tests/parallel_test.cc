@@ -38,13 +38,7 @@ namespace cross {
 namespace {
 
 using testutil::testThreads;
-
-/** Scoped thread-count override; restores 1 thread on exit. */
-struct ThreadGuard
-{
-    explicit ThreadGuard(u32 n) { setGlobalThreadCount(n); }
-    ~ThreadGuard() { setGlobalThreadCount(1); }
-};
+using testutil::ThreadGuard;
 
 // ---------------------------------------------------------------------
 // ThreadPool / parallelFor

@@ -36,25 +36,20 @@
 #include "poly/ntt_kernels.h"
 #include "poly/ntt_tables.h"
 
+#include "test_refs.h"
 #include "test_util.h"
 
 namespace cross {
 namespace {
 
 using testutil::testThreads;
+using testutil::ThreadGuard;
 
 /** Scoped dispatch override; restores the CPUID default on exit. */
 struct IsaGuard
 {
     explicit IsaGuard(nt::SimdIsa isa) { nt::setSimdIsa(isa); }
     ~IsaGuard() { nt::setSimdIsa(nt::bestSimdIsa()); }
-};
-
-/** Scoped thread-count override; restores 1 thread on exit. */
-struct ThreadGuard
-{
-    explicit ThreadGuard(u32 n) { setGlobalThreadCount(n); }
-    ~ThreadGuard() { setGlobalThreadCount(1); }
 };
 
 /** The vector ISAs; each conformance test compares them to Scalar. */
@@ -236,6 +231,84 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
                          "[simd_test] notice: %s not available on this "
                          "host/binary; conformance limited to scalar\n",
                          nt::simdIsaName(isa));
+    }
+}
+
+/**
+ * nt::dotModVec under the active dispatch, with dst aliasing a copy of
+ * a[0] (the RnsPoly in-place form).
+ */
+std::vector<u32>
+runDotMod(const std::vector<std::vector<u32>> &a,
+          const std::vector<std::vector<u32>> &b, const nt::Barrett &bar)
+{
+    const size_t k = a.size();
+    std::vector<u32> dst = a[0];
+    std::vector<const u32 *> pa(k), pb(k);
+    for (size_t t = 0; t < k; ++t) {
+        pa[t] = t == 0 ? dst.data() : a[t].data();
+        pb[t] = b[t].data();
+    }
+    nt::dotModVec(dst.data(), pa.data(), pb.data(), k, dst.size(), bar);
+    return dst;
+}
+
+TEST(SimdConformance, DotModMatchesExactOracle)
+{
+    Rng rng(20261020);
+    for (u32 bits : {28u, 30u, 31u}) {
+        const u32 q = randomModulus(bits);
+        const nt::Barrett bar(q);
+        const size_t window = nt::dotModWindow(q);
+        // The window is the largest term count whose worst-case sum
+        // stays below 2^63.
+        const u128 sq = static_cast<u128>(q - 1) * (q - 1);
+        const u128 cap = (u128{1} << 63) - 1;
+        ASSERT_LE(window * sq, cap) << "bits=" << bits;
+        ASSERT_GT((window + 1) * sq, cap) << "bits=" << bits;
+        if (bits == 28) {
+            EXPECT_GE(window, 128u);
+        } else if (bits == 31) {
+            EXPECT_EQ(window, 2u);
+        }
+
+        // Every k up to window + 3 on a short odd length; the window
+        // edges on a length with a tail for every vector width; and
+        // the all-(q-1) worst case at the edges.
+        struct Shape
+        {
+            size_t k, n;
+            bool extreme;
+        };
+        std::vector<Shape> shapes;
+        for (size_t k = 1; k <= window + 3; ++k)
+            shapes.push_back({k, 37, false});
+        for (size_t k : {size_t{1}, size_t{2}, size_t{3}, window,
+                         window + 1, window + 3}) {
+            shapes.push_back({k, 1031, false});
+            shapes.push_back({k, 45, true});
+        }
+        for (const Shape &sh : shapes) {
+            std::vector<std::vector<u32>> a(sh.k), b(sh.k);
+            for (size_t t = 0; t < sh.k; ++t) {
+                a[t] = sh.extreme ? std::vector<u32>(sh.n, q - 1)
+                                  : randomVec(rng, sh.n, q);
+                b[t] = sh.extreme ? std::vector<u32>(sh.n, q - 1)
+                                  : randomVec(rng, sh.n, q);
+            }
+            const std::vector<u32> want = testref::dotModExact(a, b, q);
+            for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                             nt::SimdIsa::Avx512}) {
+                if (!nt::simdIsaAvailable(isa))
+                    continue;
+                IsaGuard g(isa);
+                EXPECT_EQ(runDotMod(a, b, bar), want)
+                    << "dotModVec [isa=" << nt::simdIsaName(isa)
+                    << " bits=" << bits << " k=" << sh.k
+                    << " n=" << sh.n << (sh.extreme ? " all q-1" : "")
+                    << "]";
+            }
+        }
     }
 }
 

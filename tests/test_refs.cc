@@ -118,6 +118,23 @@ scaleRoundBigUInt(const rns::RnsBasis &basis, size_t q_count, u64 t,
 }
 
 std::vector<u32>
+dotModExact(const std::vector<std::vector<u32>> &a,
+            const std::vector<std::vector<u32>> &b, u64 q)
+{
+    internalCheck(!a.empty() && a.size() == b.size(),
+                  "dotModExact: operand count mismatch");
+    const size_t n = a[0].size();
+    std::vector<u32> z(n);
+    for (size_t j = 0; j < n; ++j) {
+        u128 sum = 0;
+        for (size_t t = 0; t < a.size(); ++t)
+            sum += static_cast<u128>(a[t][j]) * b[t][j];
+        z[j] = static_cast<u32>(sum % q);
+    }
+    return z;
+}
+
+std::vector<u32>
 randomPoly(u32 n, u64 q, u64 seed)
 {
     Rng rng(seed);

@@ -43,6 +43,14 @@ scaleRoundBigUInt(const rns::RnsBasis &basis, size_t q_count, u64 t,
                   const std::vector<u64> &out_moduli,
                   const std::vector<std::vector<u32>> &in);
 
+/**
+ * Exact inner product mod q: per coefficient j, the u128 sum of
+ * a[t][j] * b[t][j] over t, then % q. Ground truth for nt::dotModVec
+ * and RnsPoly::setInnerProduct.
+ */
+std::vector<u32> dotModExact(const std::vector<std::vector<u32>> &a,
+                             const std::vector<std::vector<u32>> &b, u64 q);
+
 /** Deterministic uniform coefficient vector in [0, q)^n. */
 std::vector<u32> randomPoly(u32 n, u64 q, u64 seed);
 

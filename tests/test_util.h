@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 
+#include "common/parallel.h"
 #include "common/types.h"
 
 namespace cross::testutil {
@@ -26,5 +27,12 @@ testThreads()
     }
     return 4;
 }
+
+/** Scoped thread-count override; restores 1 thread on exit. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(u32 n) { setGlobalThreadCount(n); }
+    ~ThreadGuard() { setGlobalThreadCount(1); }
+};
 
 } // namespace cross::testutil
