@@ -22,7 +22,9 @@
 #include "nt/modvec.h"
 #include "nt/montgomery.h"
 #include "nt/shoup.h"
+#include "nt/primes.h"
 #include "nt/simd_dispatch.h"
+#include "rns/bconv.h"
 
 namespace {
 
@@ -375,12 +377,133 @@ dotSweep(bench::Reporter &rep)
     t.print(std::cout);
 }
 
+/**
+ * BConv at the Set C ModUp shape (5 -> 15 limbs, N = 2^14, 28-bit
+ * moduli) under every available SIMD path: BasisConversion::apply
+ * (pointer form, both steps), its step 2 alone (the register-resident
+ * dotConstMontVec lane), and the same step-2 work as the u64 chain it
+ * replaced (accumMulVec per source limb, reduceWideInPlaceVec every
+ * reduceEvery() terms, reduceWideVec at the end). The two step-2 forms
+ * must give the same residues; the run fails if they do not. Emits
+ * micro_modred/bconv keyed {impl, isa, l_in, l_out, n} and
+ * micro_modred/bconv_step2_vs_accum keyed {isa} whose items_per_sec is
+ * the accum-time / lane-time ratio. Unbanded in fidelity_tolerance.json.
+ */
+void
+bconvSweep(bench::Reporter &rep)
+{
+    constexpr size_t kIn = 5, kOut = 15;
+    constexpr size_t kDegree = size_t{1} << 14;
+    const auto moduli = nt::generateNttPrimes(28, kIn + kOut, 2 * kDegree);
+    const rns::RnsBasis from({moduli.begin(), moduli.begin() + kIn});
+    const rns::RnsBasis to({moduli.begin() + kIn, moduli.end()});
+    const rns::BasisConversion conv(from, to);
+
+    Rng rng(41);
+    std::vector<std::vector<u32>> in(kIn), b(kIn), lane(kOut), accum(kOut);
+    std::vector<const u32 *> pin(kIn);
+    std::vector<u32 *> pb(kIn), plane(kOut);
+    for (size_t i = 0; i < kIn; ++i) {
+        in[i].resize(kDegree);
+        b[i].resize(kDegree);
+        for (auto &x : in[i])
+            x = static_cast<u32>(rng.uniform(from.modulus(i)));
+        pin[i] = in[i].data();
+        pb[i] = b[i].data();
+    }
+    for (size_t j = 0; j < kOut; ++j) {
+        lane[j].resize(kDegree);
+        accum[j].resize(kDegree);
+        plane[j] = lane[j].data();
+    }
+    conv.step1(pin.data(), pb.data(), kDegree);
+    std::vector<u32> table(kIn * kOut);
+    for (size_t j = 0; j < kOut; ++j)
+        for (size_t i = 0; i < kIn; ++i)
+            table[j * kIn + i] = conv.table(i, j);
+    std::vector<u64> acc(kDegree);
+
+    auto run_apply = [&] { conv.apply(pin.data(), plane.data(), kDegree); };
+    auto run_lane = [&] { conv.step2(pb.data(), plane.data(), kDegree); };
+    auto run_accum = [&] {
+        for (size_t j = 0; j < kOut; ++j) {
+            const nt::Barrett &bar = to.barrett(j);
+            std::fill(acc.begin(), acc.end(), 0);
+            size_t window = 0;
+            for (size_t i = 0; i < kIn; ++i) {
+                nt::accumMulVec(acc.data(), pb[i], table[j * kIn + i],
+                                kDegree);
+                if (++window == conv.reduceEvery()) {
+                    nt::reduceWideInPlaceVec(acc.data(), kDegree, bar);
+                    window = 0;
+                }
+            }
+            nt::reduceWideVec(accum[j].data(), acc.data(), kDegree, bar);
+        }
+    };
+    auto best_ns = [](auto &&fn, const void *out) {
+        constexpr int kIters = 100;
+        for (int i = 0; i < kIters / 4; ++i)
+            fn();
+        double best = 1e30;
+        for (int round = 0; round < 5; ++round) {
+            WallTimer w;
+            for (int i = 0; i < kIters; ++i) {
+                fn();
+                benchmark::DoNotOptimize(out);
+                benchmark::ClobberMemory();
+            }
+            best = std::min(best, w.seconds() * 1e9 / kIters);
+        }
+        return best;
+    };
+
+    const nt::SimdIsa prev = nt::activeSimdIsa();
+    TablePrinter t("BConv, Set C ModUp shape 5 -> 15, N = 2^14, 28-bit "
+                   "moduli: apply, and step 2 as lane vs u64 chain");
+    t.header({"ISA", "apply us", "step2 lane us", "step2 accum us",
+              "lane vs accum"});
+    const std::vector<std::pair<std::string, std::string>> shape = {
+        {"l_in", std::to_string(kIn)},
+        {"l_out", std::to_string(kOut)},
+        {"n", std::to_string(kDegree)}};
+    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                     nt::SimdIsa::Avx512}) {
+        if (!nt::simdIsaAvailable(isa))
+            continue;
+        nt::setSimdIsa(isa);
+        const double apply_ns = best_ns(run_apply, lane.data());
+        const double lane_ns = best_ns(run_lane, lane.data());
+        const double accum_ns = best_ns(run_accum, accum.data());
+        if (lane != accum)
+            throw std::runtime_error(
+                "bconvSweep: the step-2 lane differs from the u64 chain");
+        const char *isa_name = nt::simdIsaName(isa);
+        const double items = static_cast<double>(kIn * kOut * kDegree);
+        for (const auto &[impl, ns] :
+             {std::pair<const char *, double>{"apply", apply_ns},
+              {"step2_lane", lane_ns},
+              {"step2_accum", accum_ns}}) {
+            auto params = shape;
+            params.insert(params.begin(), {{"impl", impl}, {"isa", isa_name}});
+            rep.add("micro_modred/bconv", params, ns, items * 1e9 / ns);
+        }
+        rep.add("micro_modred/bconv_step2_vs_accum", {{"isa", isa_name}},
+                0.0, accum_ns / lane_ns);
+        t.row({isa_name, fmtF(apply_ns / 1e3, 1), fmtF(lane_ns / 1e3, 1),
+               fmtF(accum_ns / 1e3, 1), fmtX(accum_ns / lane_ns, 2)});
+    }
+    nt::setSimdIsa(prev);
+    t.print(std::cout);
+}
+
 /** The post-run sweeps, in order. */
 void
 postRun(bench::Reporter &rep)
 {
     dispatchSweep(rep);
     dotSweep(rep);
+    bconvSweep(rep);
 }
 
 } // namespace

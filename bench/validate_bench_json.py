@@ -15,12 +15,20 @@ ratio table9/functional_vs_estimated failing structurally (estimator
 schedule and functional execution diverging) fails CI instead of
 silently drifting.
 
-Usage: validate_bench_json.py FILE.json [FILE.json ...]
+Speed-ratio bands (SPEED_RATIO_BANDS below) hold only for optimised
+code: a Debug or sanitizer build runs the vector and scalar paths at
+unrelated speeds. With --build-type TYPE, those bands are checked only
+when TYPE is an optimised CMake build type (Release, RelWithDebInfo,
+MinSizeRel); without it every band is checked. The schema check and
+every other band apply in all builds.
+
+Usage: validate_bench_json.py [--build-type TYPE] FILE.json [FILE.json ...]
 
 Exits 0 when every file conforms; prints one line per failure and
 exits 1 otherwise.
 """
 
+import argparse
 import json
 import numbers
 import os
@@ -30,10 +38,19 @@ SCHEMA = "cross-bench-v1"
 TOLERANCE_FILE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fidelity_tolerance.json"
 )
+OPTIMISED_BUILD_TYPES = {"release", "relwithdebinfo", "minsizerel"}
 
 
-def load_tolerances():
-    """name -> {min, max} bands; missing file means no range checks."""
+def is_speed_ratio_band(name):
+    """The bands that compare two timings of optimised code."""
+    return name == "table9/functional_vs_estimated" or (
+        name.startswith("micro_ntt/") and name.endswith("_vs_scalar_speedup")
+    )
+
+
+def load_tolerances(optimised):
+    """name -> {min, max} bands; missing file means no range checks.
+    Speed-ratio bands are dropped unless @p optimised."""
     try:
         with open(TOLERANCE_FILE, encoding="utf-8") as f:
             doc = json.load(f)
@@ -42,6 +59,8 @@ def load_tolerances():
     bands = {}
     for name, band in doc.items():
         if name.startswith("__") or not isinstance(band, dict):
+            continue
+        if not optimised and is_speed_ratio_band(name):
             continue
         lo, hi = band.get("min"), band.get("max")
         if isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real):
@@ -88,7 +107,7 @@ def validate_record(path, i, rec, tolerances):
     return True
 
 
-def validate_file(path):
+def validate_file(path, tolerances):
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -105,7 +124,6 @@ def validate_file(path):
     records = doc.get("records")
     if not isinstance(records, list) or not records:
         return fail(path, "records missing or empty")
-    tolerances = load_tolerances()
     ok = all(
         validate_record(path, i, r, tolerances)
         for i, r in enumerate(records)
@@ -116,10 +134,18 @@ def validate_file(path):
 
 
 def main(argv):
-    if len(argv) < 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    return 0 if all([validate_file(p) for p in argv[1:]]) else 1
+    ap = argparse.ArgumentParser(
+        description="Validate cross-bench-v1 JSON artifacts.")
+    ap.add_argument("--build-type",
+                    help="CMake build type of the binaries that wrote "
+                         "the files; speed-ratio bands apply only to "
+                         "optimised types")
+    ap.add_argument("files", nargs="+", metavar="FILE.json")
+    args = ap.parse_args(argv[1:])
+    optimised = (args.build_type is None or
+                 args.build_type.lower() in OPTIMISED_BUILD_TYPES)
+    tolerances = load_tolerances(optimised)
+    return 0 if all([validate_file(p, tolerances) for p in args.files]) else 1
 
 
 if __name__ == "__main__":

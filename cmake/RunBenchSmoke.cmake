@@ -3,9 +3,12 @@
 # and contains at least one record; when a python3 and the shared
 # cross-bench-v1 validator are available, the full schema check runs
 # too (the same validator CI applies to every uploaded artifact).
+# BUILD_TYPE, when defined, is passed on as the validator's
+# --build-type, so its speed-ratio bands apply only to optimised builds.
 # Invoked as
 #   cmake -DBENCH_BIN=... -DOUT_JSON=... [-DBENCH_ARGS=a;b;c]
-#         [-DVALIDATOR=.../validate_bench_json.py] -P RunBenchSmoke.cmake
+#         [-DVALIDATOR=.../validate_bench_json.py] [-DBUILD_TYPE=...]
+#         -P RunBenchSmoke.cmake
 
 if(NOT BENCH_BIN OR NOT OUT_JSON)
     message(FATAL_ERROR "RunBenchSmoke.cmake requires BENCH_BIN and OUT_JSON")
@@ -40,8 +43,13 @@ message(STATUS "bench '${bench_name}': ${record_count} record(s), "
 if(VALIDATOR)
     find_program(PYTHON3_EXE python3)
     if(PYTHON3_EXE)
+        set(validator_args "")
+        if(DEFINED BUILD_TYPE)
+            set(validator_args "--build-type=${BUILD_TYPE}")
+        endif()
         execute_process(
-            COMMAND "${PYTHON3_EXE}" "${VALIDATOR}" "${OUT_JSON}"
+            COMMAND "${PYTHON3_EXE}" "${VALIDATOR}" ${validator_args}
+                    "${OUT_JSON}"
             RESULT_VARIABLE vrv)
         if(NOT vrv EQUAL 0)
             message(FATAL_ERROR

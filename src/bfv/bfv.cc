@@ -261,24 +261,25 @@ modUpToQb(const BfvContext &ctx, const RnsPoly &c, ckks::KernelLog *log)
     if (log)
         log->add(KernelKind::Intt, n, static_cast<u32>(l), 0, ti.seconds());
 
-    WallTimer tb;
-    rns::LimbMatrix in(l), out;
+    // Convert the coefficient limbs straight into up's B limbs.
+    RnsPoly up(ctx.ring(), full, true);
+    std::vector<const u32 *> in(l);
+    std::vector<u32 *> out(ctx.bCount());
     for (size_t i = 0; i < l; ++i)
-        in[i] = coeff.limb(i);
-    ctx.qToB().apply(in, out);
+        in[i] = coeff.limb(i).data();
+    for (size_t j = 0; j < ctx.bCount(); ++j)
+        out[j] = up.limb(l + j).data();
+    WallTimer tb;
+    ctx.qToB().apply(in.data(), out.data(), n);
     if (log)
         log->add(KernelKind::BConv, n, static_cast<u32>(l),
                  static_cast<u32>(ctx.bCount()), tb.seconds());
 
     WallTimer tn;
-    RnsPoly up(ctx.ring(), full, true);
     for (size_t i = 0; i < l; ++i)
         up.limb(i) = c.limb(i); // already in eval domain
-    for (size_t j = 0; j < ctx.bCount(); ++j) {
-        up.limb(l + j) = std::move(out[j]);
-        poly::forwardInPlace(up.limb(l + j).data(),
-                             ctx.ring().tables(l + j));
-    }
+    for (size_t j = 0; j < ctx.bCount(); ++j)
+        poly::forwardInPlace(out[j], ctx.ring().tables(l + j));
     if (log)
         log->add(KernelKind::Ntt, n, static_cast<u32>(ctx.bCount()), 0,
                  tn.seconds());
@@ -378,23 +379,26 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
     ups.reserve(l);
     std::vector<double> bconv_s(l), ntt_s(l);
     for (size_t i = 0; i < l; ++i) {
-        // Digit i: limb i exact, converted to the other q limbs.
+        // Digit i: limb i exact, converted straight into the other q
+        // limbs of up.
+        RnsPoly &up = ups.emplace_back(ctx_.ring(), l, true);
+        std::vector<u32 *> out;
+        out.reserve(l - 1);
+        for (size_t j = 0; j < l; ++j) {
+            if (j != i)
+                out.push_back(up.limb(j).data());
+        }
+        const u32 *in = c_coeff.limb(i).data();
         WallTimer tb;
-        rns::LimbMatrix in = {c_coeff.limb(i)}, out;
-        ctx_.digitConversion(i).apply(in, out);
+        ctx_.digitConversion(i).apply(&in, out.data(), ctx_.degree());
         bconv_s[i] = tb.seconds();
 
         WallTimer tn;
-        RnsPoly &up = ups.emplace_back(ctx_.ring(), l, true);
-        size_t pos = 0;
+        up.limb(i) = c.limb(i);
         for (size_t j = 0; j < l; ++j) {
-            if (j == i) {
-                up.limb(j) = c.limb(i);
-            } else {
-                up.limb(j) = std::move(out[pos++]);
+            if (j != i)
                 poly::forwardInPlace(up.limb(j).data(),
                                      ctx_.ring().tables(j));
-            }
         }
         ntt_s[i] = tn.seconds();
     }

@@ -510,23 +510,14 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
         const auto [first, last] = ctx_.digitRange(j, level);
         const auto &conv = ctx_.modUpConv(j, level);
 
-        // ModUp: convert the digit to the complement + P basis.
-        WallTimer tb;
-        rns::LimbMatrix in(last - first);
-        for (size_t i = first; i < last; ++i)
-            in[i - first] = c_coeff.limb(i);
-        rns::LimbMatrix out;
-        conv.apply(in, out);
-        logCall(KernelKind::BConv, static_cast<u32>(last - first),
-                static_cast<u32>(out.size()), tb.seconds());
-
         // Assemble the extended-basis digit polynomial in eval domain:
-        // digit limbs come straight from c (already NTT'd), converted
-        // limbs are transformed limb-parallel after a sequential
-        // assignment pass (the conv_pos order is data-dependent).
+        // digit limbs come straight from c (already NTT'd); ModUp
+        // converts the digit from c_coeff's limbs straight into the
+        // other (complement + P) limbs, which are then transformed
+        // limb-parallel.
         RnsPoly up(ctx_.ring(), ext_slots, true);
-        std::vector<size_t> conv_limbs;
-        size_t conv_pos = 0;
+        std::vector<u32 *> conv_out;
+        std::vector<const poly::NttTables *> conv_tabs;
         for (size_t pos = 0; pos < ext; ++pos) {
             const u32 ring_idx = ext_slots[pos];
             const bool in_digit =
@@ -535,22 +526,25 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
             if (in_digit) {
                 up.limb(pos) = c.limb(ring_idx);
             } else {
-                up.limb(pos) = std::move(out[conv_pos++]);
-                conv_limbs.push_back(pos);
+                conv_out.push_back(up.limb(pos).data());
+                conv_tabs.push_back(&ctx_.ring().tables(ring_idx));
             }
         }
-        internalCheck(conv_pos == out.size(), "keySwitch: modup mismatch");
+        internalCheck(conv_out.size() == conv.to().size(),
+                      "keySwitch: modup mismatch");
+        std::vector<const u32 *> conv_in(last - first);
+        for (size_t i = first; i < last; ++i)
+            conv_in[i - first] = c_coeff.limb(i).data();
+
+        WallTimer tb;
+        conv.apply(conv_in.data(), conv_out.data(), ctx_.degree());
+        logCall(KernelKind::BConv, static_cast<u32>(last - first),
+                static_cast<u32>(conv_out.size()), tb.seconds());
+
         WallTimer tn;
-        std::vector<u32 *> polys(conv_limbs.size());
-        std::vector<const poly::NttTables *> tabs(conv_limbs.size());
-        for (size_t ci = 0; ci < conv_limbs.size(); ++ci) {
-            const size_t pos = conv_limbs[ci];
-            polys[ci] = up.limb(pos).data();
-            tabs[ci] = &ctx_.ring().tables(ext_slots[pos]);
-        }
-        poly::forwardInPlaceMany(polys.data(), tabs.data(),
-                                 conv_limbs.size());
-        logCall(KernelKind::Ntt, static_cast<u32>(conv_limbs.size()), 0,
+        poly::forwardInPlaceMany(conv_out.data(), conv_tabs.data(),
+                                 conv_out.size());
+        logCall(KernelKind::Ntt, static_cast<u32>(conv_out.size()), 0,
                 tn.seconds());
         digits.push_back(std::move(up));
     }
@@ -563,13 +557,13 @@ CkksEvaluator::modDownPhase(RnsPoly acc, size_t level) const
     // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1.
     const auto &conv = ctx_.modDownConv(level);
 
+    // INTT acc's P limbs in place, then convert them straight into
+    // conv_q's limbs.
     WallTimer ti2;
-    rns::LimbMatrix p_part(ctx_.pCount());
     std::vector<u32 *> ppolys(ctx_.pCount());
     std::vector<const poly::NttTables *> ptabs(ctx_.pCount());
     for (size_t jj = 0; jj < ctx_.pCount(); ++jj) {
-        p_part[jj] = std::move(acc.limb(level + 1 + jj));
-        ppolys[jj] = p_part[jj].data();
+        ppolys[jj] = acc.limb(level + 1 + jj).data();
         ptabs[jj] = &ctx_.ring().tables(ctx_.pSlot(jj));
     }
     poly::inverseInPlaceMany(ppolys.data(), ptabs.data(),
@@ -577,21 +571,19 @@ CkksEvaluator::modDownPhase(RnsPoly acc, size_t level) const
     logCall(KernelKind::Intt, static_cast<u32>(ctx_.pCount()), 0,
             ti2.seconds());
 
-    WallTimer tb2;
-    rns::LimbMatrix conv_out;
-    conv.apply(p_part, conv_out);
-    logCall(KernelKind::BConv, static_cast<u32>(ctx_.pCount()),
-            static_cast<u32>(level + 1), tb2.seconds());
-
-    WallTimer tn2;
     RnsPoly conv_q(ctx_.ring(), level + 1, true);
     std::vector<u32 *> qpolys(level + 1);
     std::vector<const poly::NttTables *> qtabs(level + 1);
     for (size_t i = 0; i <= level; ++i) {
-        conv_q.limb(i) = std::move(conv_out[i]);
         qpolys[i] = conv_q.limb(i).data();
         qtabs[i] = &ctx_.ring().tables(i);
     }
+    WallTimer tb2;
+    conv.apply(ppolys.data(), qpolys.data(), ctx_.degree());
+    logCall(KernelKind::BConv, static_cast<u32>(ctx_.pCount()),
+            static_cast<u32>(level + 1), tb2.seconds());
+
+    WallTimer tn2;
     poly::forwardInPlaceMany(qpolys.data(), qtabs.data(), level + 1);
     logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0,
             tn2.seconds());

@@ -215,7 +215,7 @@ class CkksEvaluator
     keyInnerProduct(const std::vector<poly::RnsPoly> &digits,
                     const KeySwitchPrecomp &pre) const;
 
-    /** ModUp phase body shared by hoistedModUp and keySwitchImpl. */
+    /** ModUp phase body shared by hoistedModUp and keySwitch. */
     std::vector<poly::RnsPoly>
     modUpPhase(const poly::RnsPoly &c,
                const std::vector<u32> &ext_slots) const;

@@ -63,6 +63,13 @@ dotModScalar(u32 *dst, const u32 *const *a, const u32 *const *b,
 }
 
 void
+dotConstMontScalar(u32 *dst, const u32 *const *a, const u32 *w, size_t k,
+                   size_t n, size_t window, u32 q, u32 qInv, u64 m64)
+{
+    dotConstMontTail(dst, a, w, k, 0, n, window, q, qInv, m64);
+}
+
+void
 accumMulScalar(u64 *acc, const u32 *a, u32 w, size_t n)
 {
     for (size_t j = 0; j < n; ++j)
@@ -91,7 +98,7 @@ modVecKernelsScalar()
     static const ModVecKernels k = {
         addModScalar,    subModScalar,  negModScalar,
         mulShoupScalar,  mulMontScalar, mulModScalar,
-        dotModScalar,    accumMulScalar,
+        dotModScalar,    dotConstMontScalar, accumMulScalar,
         reduceWideScalar, reduceWideInPlaceScalar,
     };
     return k;
@@ -170,6 +177,16 @@ dotModVec(u32 *dst, const u32 *const *a, const u32 *const *b, size_t k,
           size_t n, const Barrett &bar)
 {
     detail::kernels().dotMod(dst, a, b, k, n, bar.modulus(), bar.m64());
+}
+
+void
+dotConstMontVec(u32 *dst, const u32 *const *a, const u32 *wMont, size_t k,
+                size_t n, const Montgomery &mont, const Barrett &bar,
+                size_t window)
+{
+    detail::kernels().dotConstMont(dst, a, wMont, k, n, window,
+                                   mont.modulus(), mont.qInv(),
+                                   bar.m64());
 }
 
 void

@@ -52,8 +52,8 @@ void mulModVec(u32 *dst, const u32 *a, const u32 *b, size_t n,
 
 /**
  * acc[j] += a[j] * w (plain u64 accumulate, no reduction). The caller
- * owns the overflow budget -- BConv's step 2 reduces every
- * reduceEvery_ additions precisely so this product sum stays < 2^63.
+ * owns the overflow budget -- ScaleRound and ModMatMul reduce every
+ * so many additions precisely so this product sum stays < 2^63.
  */
 void accumMulVec(u64 *acc, const u32 *a, u32 w, size_t n);
 
@@ -82,6 +82,36 @@ dotModWindow(u32 q)
  */
 void dotModVec(u32 *dst, const u32 *const *a, const u32 *const *b,
                size_t k, size_t n, const Barrett &bar);
+
+/**
+ * How many products a * w, with a < qa and w < p for any odd p < 2^31,
+ * a u64 sum can hold and still meet Montgomery reduction's z < p * 2^32:
+ * floor((2^32 - 1) / (qa - 1)), since then the sum is at most
+ * (2^32 - 1)(p - 1). That is 16 at 28 bits and 2 at 31. A sum reduced
+ * mid-way holds a value < p, which counts as one of those terms.
+ */
+inline size_t
+dotConstMontWindow(u32 qa)
+{
+    return qa <= 1 ? ~size_t{0}
+                   : static_cast<size_t>(0xffffffffULL / (qa - 1));
+}
+
+/**
+ * dst[j] = (sum_t a[t][j] * wMont[t]) * 2^-32 mod q over t < k,
+ * canonical [0, q): the multiply-accumulate by per-term constants of
+ * BConv step 2. With each weight stored in Montgomery form
+ * (w * 2^32 mod q) the result is the plain residue sum_t a[t][j] * w[t]
+ * mod q. Requires k >= 1, wMont[t] < q, a[t][j] < qa and
+ * window == dotConstMontWindow(qa) (or smaller, >= 1). The u64 sums stay
+ * in registers; past each window they are reduced with bar.reduceWide,
+ * and at the end one Montgomery reduction and one fold yield the
+ * canonical residue, so every schedule gives the same bits. dst may
+ * alias any a[t] element-for-element.
+ */
+void dotConstMontVec(u32 *dst, const u32 *const *a, const u32 *wMont,
+                     size_t k, size_t n, const Montgomery &mont,
+                     const Barrett &bar, size_t window);
 
 /** dst[j] = bar.reduceWide(acc[j]); requires acc[j] < 2^63. */
 void reduceWideVec(u32 *dst, const u64 *acc, size_t n,

@@ -177,6 +177,45 @@ dotModAvx2(u32 *dst, const u32 *const *a, const u32 *const *b,
     dotModTail(dst, a, b, k, j, n, q, m64);
 }
 
+/** dotConstMontAvx512 at half the width; see modvec_avx512.cc. */
+void
+dotConstMontAvx2(u32 *dst, const u32 *const *a, const u32 *w, size_t k,
+                 size_t n, size_t window, u32 q, u32 qInv, u64 m64)
+{
+    const __m256i qV = _mm256_set1_epi64x(q);
+    const __m256i q32V = _mm256_set1_epi32(static_cast<int>(q));
+    const __m256i qInvV = _mm256_set1_epi64x(qInv);
+    const __m256i mLo =
+        _mm256_set1_epi64x(static_cast<i64>(m64 & 0xffffffffULL));
+    const __m256i mHi = _mm256_set1_epi64x(static_cast<i64>(m64 >> 32));
+    const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
+    size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        __m256i se = _mm256_setzero_si256();
+        __m256i so = _mm256_setzero_si256();
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                se = reduceWide64(se, qV, mLo, mHi, lo32);
+                so = reduceWide64(so, qV, mLo, mHi, lo32);
+                terms = 1;
+            }
+            const __m256i va = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a[t] + j));
+            const __m256i wv = _mm256_set1_epi64x(w[t]);
+            se = _mm256_add_epi64(se, _mm256_mul_epu32(va, wv));
+            so = _mm256_add_epi64(
+                so, _mm256_mul_epu32(_mm256_srli_epi64(va, 32), wv));
+            ++terms;
+        }
+        const __m256i r = mergeHalves(montReduce64(se, qV, qInvV),
+                                      montReduce64(so, qV, qInvV));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
+                            fold2qU32(r, q32V));
+    }
+    dotConstMontTail(dst, a, w, k, j, n, window, q, qInv, m64);
+}
+
 void
 accumMulAvx2(u64 *acc, const u32 *a, u32 w, size_t n)
 {
@@ -242,7 +281,7 @@ modVecKernelsAvx2()
     static const ModVecKernels k = {
         addModAvx2,    subModAvx2,  negModAvx2,
         mulShoupAvx2,  mulMontAvx2, mulModAvx2,
-        dotModAvx2,    accumMulAvx2,
+        dotModAvx2,    dotConstMontAvx2, accumMulAvx2,
         reduceWideAvx2, reduceWideInPlaceAvx2,
     };
     return k;

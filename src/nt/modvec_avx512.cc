@@ -175,6 +175,47 @@ dotModAvx512(u32 *dst, const u32 *const *a, const u32 *const *b,
     dotModTail(dst, a, b, k, j, n, q, m64);
 }
 
+/**
+ * dotModAvx512 with a broadcast weight per term: the even/odd u64
+ * sums stay in registers, and the end is one Montgomery reduction per
+ * half and one fold of the merged u32 lanes.
+ */
+void
+dotConstMontAvx512(u32 *dst, const u32 *const *a, const u32 *w, size_t k,
+                   size_t n, size_t window, u32 q, u32 qInv, u64 m64)
+{
+    const __m512i qV = _mm512_set1_epi64(q);
+    const __m512i q32V = _mm512_set1_epi32(static_cast<int>(q));
+    const __m512i qInvV = _mm512_set1_epi64(qInv);
+    const __m512i mLo =
+        _mm512_set1_epi64(static_cast<i64>(m64 & 0xffffffffULL));
+    const __m512i mHi = _mm512_set1_epi64(static_cast<i64>(m64 >> 32));
+    const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
+    size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        __m512i se = _mm512_setzero_si512();
+        __m512i so = _mm512_setzero_si512();
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                se = reduceWide64(se, qV, mLo, mHi, lo32);
+                so = reduceWide64(so, qV, mLo, mHi, lo32);
+                terms = 1;
+            }
+            const __m512i va = _mm512_loadu_si512(a[t] + j);
+            const __m512i wv = _mm512_set1_epi64(w[t]);
+            se = _mm512_add_epi64(se, _mm512_mul_epu32(va, wv));
+            so = _mm512_add_epi64(
+                so, _mm512_mul_epu32(_mm512_srli_epi64(va, 32), wv));
+            ++terms;
+        }
+        const __m512i r = mergeHalves(montReduce64(se, qV, qInvV),
+                                      montReduce64(so, qV, qInvV));
+        _mm512_storeu_si512(dst + j, fold2qU32(r, q32V));
+    }
+    dotConstMontTail(dst, a, w, k, j, n, window, q, qInv, m64);
+}
+
 void
 accumMulAvx512(u64 *acc, const u32 *a, u32 w, size_t n)
 {
@@ -238,7 +279,7 @@ modVecKernelsAvx512()
     static const ModVecKernels k = {
         addModAvx512,   subModAvx512,   negModAvx512,
         mulShoupAvx512, mulMontAvx512,  mulModAvx512,
-        dotModAvx512,   accumMulAvx512,
+        dotModAvx512,   dotConstMontAvx512, accumMulAvx512,
         reduceWideAvx512, reduceWideInPlaceAvx512,
     };
     return k;

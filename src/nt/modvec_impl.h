@@ -80,6 +80,44 @@ dotModTail(u32 *dst, const u32 *const *a, const u32 *const *b, size_t k,
     }
 }
 
+/**
+ * The scalar dotConstMont body, shared as the tail loop of every vector
+ * kernel: u64 sums over blocks of 64 coefficients, Barrett-reduced when
+ * the window is full, then one Montgomery reduction and one fold. The
+ * term loop runs outside, so each source strip is one contiguous
+ * multiply-accumulate the compiler can vectorize.
+ */
+inline void
+dotConstMontTail(u32 *dst, const u32 *const *a, const u32 *w, size_t k,
+                 size_t lo, size_t n, size_t window, u32 q, u32 qInv,
+                 u64 m64)
+{
+    constexpr size_t kBlock = 64;
+    u64 acc[kBlock];
+    for (size_t b = lo; b < n; b += kBlock) {
+        const size_t len = n - b < kBlock ? n - b : kBlock;
+        for (size_t j = 0; j < len; ++j)
+            acc[j] = 0;
+        size_t terms = 0;
+        for (size_t t = 0; t < k; ++t) {
+            if (terms == window) {
+                for (size_t j = 0; j < len; ++j)
+                    acc[j] = barrettReduceWideRaw(acc[j], q, m64);
+                terms = 1;
+            }
+            const u32 *src = a[t] + b;
+            const u64 wt = w[t];
+            for (size_t j = 0; j < len; ++j)
+                acc[j] += src[j] * wt;
+            ++terms;
+        }
+        for (size_t j = 0; j < len; ++j) {
+            const u32 r = montReduceRaw(acc[j], q, qInv);
+            dst[b + j] = r >= q ? r - q : r;
+        }
+    }
+}
+
 /** One dispatch path's implementations of the modvec.h operations. */
 struct ModVecKernels
 {
@@ -93,6 +131,9 @@ struct ModVecKernels
                    u64 m64);
     void (*dotMod)(u32 *, const u32 *const *, const u32 *const *,
                    size_t k, size_t n, u32 q, u64 m64);
+    void (*dotConstMont)(u32 *, const u32 *const *, const u32 *, size_t k,
+                         size_t n, size_t window, u32 q, u32 qInv,
+                         u64 m64);
     void (*accumMul)(u64 *, const u32 *, u32, size_t);
     void (*reduceWide)(u32 *, const u64 *, size_t, u32 q, u64 m64);
     void (*reduceWideInPlace)(u64 *, size_t, u32 q, u64 m64);

@@ -19,9 +19,11 @@
 #include "ckks/keys.h"
 #include "ckks/schedule.h"
 #include "common/rng.h"
+#include "nt/bigint.h"
 #include "nt/modops.h"
 #include "nt/primes.h"
 #include "poly/ring.h"
+#include "rns/basis.h"
 
 #include "test_util.h"
 
@@ -394,6 +396,85 @@ TEST_F(CkksFixture, FusedKeySwitchDecryptsAtEveryThreadCount)
                 << "threads=" << threads << " slot=" << j;
         }
     }
+}
+
+/**
+ * hoistedModUp(c1) against BigUInt CRT, independently of BConv: per
+ * digit and coefficient, x is composed from the digit's residues of c1;
+ * every limb of the digit's extended polynomial, back in coefficient
+ * form, must equal (x + alpha * Q_digit) mod its modulus for one
+ * alpha < digit size shared by all of them.
+ */
+void
+expectModUpMatchesCrt(const CkksContext &ctx, const poly::RnsPoly &c1)
+{
+    const CkksEvaluator ev(ctx);
+    const HoistedDecomp dec = ev.hoistedModUp(c1);
+    const size_t level = c1.limbCount() - 1;
+    ASSERT_EQ(dec.level, level);
+    ASSERT_EQ(dec.digits.size(), ctx.activeDigits(level));
+    poly::RnsPoly c_coeff = c1;
+    c_coeff.toCoeff();
+
+    for (size_t j = 0; j < dec.digits.size(); ++j) {
+        const auto [first, last] = ctx.digitRange(j, level);
+        std::vector<u64> digit_moduli;
+        for (size_t i = first; i < last; ++i)
+            digit_moduli.push_back(ctx.qModulus(i));
+        const rns::RnsBasis digit(digit_moduli);
+        poly::RnsPoly up = dec.digits[j];
+        ASSERT_EQ(up.slots(), dec.extSlots);
+        up.toCoeff();
+
+        std::vector<u64> res(digit.size());
+        for (size_t coef = 0; coef < ctx.degree(); ++coef) {
+            for (size_t i = first; i < last; ++i)
+                res[i - first] = c_coeff.limb(i)[coef];
+            nt::BigUInt shifted = digit.compose(res);
+            bool matched = false;
+            for (size_t alpha = 0; alpha < digit.size() && !matched;
+                 ++alpha) {
+                if (alpha > 0)
+                    shifted = shifted + digit.bigModulus();
+                matched = true;
+                for (size_t pos = 0; pos < up.limbCount(); ++pos) {
+                    if (up.limb(pos)[coef] !=
+                        shifted.modSmall(up.limbModulus(pos))) {
+                        matched = false;
+                        break;
+                    }
+                }
+            }
+            ASSERT_TRUE(matched)
+                << "level " << level << " digit " << j << " coef " << coef
+                << ": no alpha < digit size explains the ModUp limbs";
+        }
+    }
+}
+
+TEST(ModUpOracle, HoistedModUpMatchesBigUIntCrt)
+{
+    const CkksContext ctx(CkksParams::paperSet('A'));
+    Rng rng(2026);
+    // A random level-L polynomial: every digit at full size.
+    expectModUpMatchesCrt(
+        ctx, poly::RnsPoly::uniform(ctx.ring(), ctx.qCount(), true, rng));
+
+    // A mid-level ciphertext: the top digit is cut short.
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx, 7);
+    CkksEncryptor encryptor(ctx, keygen.publicKey(), 8);
+    const CkksEvaluator ev(ctx);
+    const auto ct = ev.reduceToLimbs(
+        encryptor.encrypt(encoder.encode(
+            randomSlots(encoder.slotCount(), 9), kScale, ctx.qCount())),
+        ctx.qCount() - 1);
+    const size_t mid = ct.level();
+    const auto [top_first, top_last] =
+        ctx.digitRange(ctx.activeDigits(mid) - 1, mid);
+    ASSERT_LT(top_last - top_first, ctx.params().alpha())
+        << "the mid level must leave a short top digit";
+    expectModUpMatchesCrt(ctx, ct.c1);
 }
 
 // ---------------------------------------------------------------------

@@ -309,10 +309,13 @@ TEST(ParallelExactness, BConvMatchesSingleThread)
     const auto p = nt::generateNttPrimesAvoiding(29, 3, 2048, q);
     rns::BasisConversion conv{rns::RnsBasis(q), rns::RnsBasis(p)};
 
+    // Long enough (3 x 4096 coefficients) that parallelFor2D splits the
+    // conversion into tiles.
+    const size_t n = 4096;
     rns::LimbMatrix in(q.size());
     Rng rng(7);
     for (size_t i = 0; i < in.size(); ++i) {
-        in[i].resize(128);
+        in[i].resize(n);
         for (auto &x : in[i])
             x = static_cast<u32>(rng.uniform(q[i]));
     }
@@ -320,11 +323,30 @@ TEST(ParallelExactness, BConvMatchesSingleThread)
     setGlobalThreadCount(1);
     rns::LimbMatrix seq;
     conv.apply(in, seq);
+
+    // The pointer form at 1 and testThreads() threads, reading the
+    // source limbs in place and writing one contiguous target buffer.
+    std::vector<const u32 *> in_ptrs(in.size());
+    for (size_t i = 0; i < in.size(); ++i)
+        in_ptrs[i] = in[i].data();
+    const auto run_ptr = [&] {
+        std::vector<u32> buf(p.size() * n);
+        std::vector<u32 *> out_ptrs(p.size());
+        for (size_t j = 0; j < p.size(); ++j)
+            out_ptrs[j] = buf.data() + j * n;
+        conv.apply(in_ptrs.data(), out_ptrs.data(), n);
+        rns::LimbMatrix m(p.size());
+        for (size_t j = 0; j < p.size(); ++j)
+            m[j].assign(out_ptrs[j], out_ptrs[j] + n);
+        return m;
+    };
+    EXPECT_EQ(run_ptr(), seq);
     {
         ThreadGuard guard(testThreads());
         rns::LimbMatrix par;
         conv.apply(in, par);
         EXPECT_EQ(par, seq);
+        EXPECT_EQ(run_ptr(), seq);
     }
 }
 

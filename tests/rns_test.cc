@@ -95,22 +95,22 @@ TEST(RnsBasis, QHatModExternal)
 // ---------------------------------------------------------------------
 // BConv
 // ---------------------------------------------------------------------
-class BConvTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> // (L, L')
+// (L, L', modulus bits)
+class BConvTest : public ::testing::TestWithParam<std::tuple<int, int, u32>>
 {
 };
 
 TEST_P(BConvTest, ExactAgainstBigUInt)
 {
-    const auto [l_in, l_out] = GetParam();
+    const auto [l_in, l_out, bits] = GetParam();
     const u64 step = 1 << 12;
-    const auto from_m = testPrimes(28, l_in, step);
-    const auto to_m = testPrimes(28, l_out, step, from_m);
+    const auto from_m = testPrimes(bits, l_in, step);
+    const auto to_m = testPrimes(bits, l_out, step, from_m);
     RnsBasis from(from_m), to(to_m);
     BasisConversion conv(from, to);
 
-    const size_t n = 64;
-    Rng rng(l_in * 100 + l_out);
+    const size_t n = 67; // a tail for every vector width
+    Rng rng(l_in * 100 + l_out + bits);
     LimbMatrix in(from.size());
     for (size_t i = 0; i < from.size(); ++i) {
         in[i].resize(n);
@@ -123,24 +123,43 @@ TEST_P(BConvTest, ExactAgainstBigUInt)
     conv.step2(b, out);
     ASSERT_EQ(out.size(), to.size());
 
+    // The pointer form into target limbs that are not contiguous: every
+    // limb at a padded stride of one buffer, in reverse order.
+    const size_t stride = n + 5;
+    std::vector<u32> buf(to.size() * stride, 0xdeadbeef);
+    std::vector<const u32 *> in_ptrs(from.size());
+    std::vector<u32 *> out_ptrs(to.size());
+    for (size_t i = 0; i < from.size(); ++i)
+        in_ptrs[i] = in[i].data();
+    for (size_t j = 0; j < to.size(); ++j)
+        out_ptrs[j] = buf.data() + (to.size() - 1 - j) * stride;
+    conv.apply(in_ptrs.data(), out_ptrs.data(), n);
+
     for (size_t coef = 0; coef < n; ++coef) {
         // Ground truth: v = sum_i b_i * qHat_i exactly.
         nt::BigUInt v;
         for (size_t i = 0; i < from.size(); ++i)
             v = v + from.qHat(i) * b[i][coef];
         for (size_t j = 0; j < to.size(); ++j) {
-            EXPECT_EQ(out[j][coef], v.modSmall(to.modulus(j)))
+            const u64 want = v.modSmall(to.modulus(j));
+            EXPECT_EQ(out[j][coef], want)
                 << "coef " << coef << " target " << j;
+            EXPECT_EQ(out_ptrs[j][coef], want)
+                << "pointer form, coef " << coef << " target " << j;
         }
     }
+    // The padding between the target limbs is untouched.
+    for (size_t j = 0; j < to.size(); ++j)
+        for (size_t c = n; c < stride; ++c)
+            EXPECT_EQ(buf[j * stride + c], 0xdeadbeefu);
 }
 
 TEST_P(BConvTest, AlphaSlackBound)
 {
-    const auto [l_in, l_out] = GetParam();
+    const auto [l_in, l_out, bits] = GetParam();
     const u64 step = 1 << 12;
-    const auto from_m = testPrimes(28, l_in, step);
-    const auto to_m = testPrimes(28, l_out, step, from_m);
+    const auto from_m = testPrimes(bits, l_in, step);
+    const auto to_m = testPrimes(bits, l_out, step, from_m);
     RnsBasis from(from_m), to(to_m);
     BasisConversion conv(from, to);
 
@@ -184,12 +203,18 @@ TEST_P(BConvTest, AlphaSlackBound)
     }
 }
 
+// The 30- and 31-bit shapes run L past the Montgomery window of step 2
+// (4 and 2 source terms), so the mid-sum reductions are exercised.
 INSTANTIATE_TEST_SUITE_P(Shapes, BConvTest,
-                         ::testing::Values(std::make_tuple(1, 1),
-                                           std::make_tuple(3, 2),
-                                           std::make_tuple(4, 6),
-                                           std::make_tuple(8, 9),
-                                           std::make_tuple(12, 13)));
+                         ::testing::Values(std::make_tuple(1, 1, 28u),
+                                           std::make_tuple(3, 2, 28u),
+                                           std::make_tuple(4, 6, 28u),
+                                           std::make_tuple(8, 9, 28u),
+                                           std::make_tuple(12, 13, 28u),
+                                           std::make_tuple(20, 7, 28u),
+                                           std::make_tuple(20, 7, 30u),
+                                           std::make_tuple(5, 15, 31u),
+                                           std::make_tuple(20, 7, 31u)));
 
 TEST(BConv, TableMatchesBasis)
 {

@@ -312,6 +312,85 @@ TEST(SimdConformance, DotModMatchesExactOracle)
     }
 }
 
+/** nt::dotConstMontVec under the active dispatch into a fresh dst. */
+std::vector<u32>
+runDotConstMont(const std::vector<std::vector<u32>> &a,
+                const std::vector<u32> &w, const nt::Montgomery &mont,
+                const nt::Barrett &bar, size_t window)
+{
+    std::vector<u32> dst(a[0].size());
+    std::vector<const u32 *> pa(a.size());
+    for (size_t t = 0; t < a.size(); ++t)
+        pa[t] = a[t].data();
+    nt::dotConstMontVec(dst.data(), pa.data(), w.data(), a.size(),
+                        dst.size(), mont, bar, window);
+    return dst;
+}
+
+TEST(SimdConformance, DotConstMontMatchesExactOracle)
+{
+    Rng rng(20261022);
+    for (u32 bits : {28u, 30u, 31u}) {
+        const u32 q = randomModulus(bits);
+        const nt::Montgomery mont(q);
+        const nt::Barrett bar(q);
+        const size_t window = nt::dotConstMontWindow(q);
+        // The window is the largest term count whose worst-case sum
+        // stays below q * 2^32, Montgomery reduction's input bound.
+        const u128 sq = static_cast<u128>(q - 1) * (q - 1);
+        const u128 cap = static_cast<u128>(q) << 32;
+        ASSERT_LT(window * sq, cap) << "bits=" << bits;
+        ASSERT_GE((window + 1) * static_cast<u128>(q - 1),
+                  u128{1} << 32) << "bits=" << bits;
+        if (bits == 28) {
+            EXPECT_EQ(window, 16u);
+        } else if (bits == 31) {
+            EXPECT_EQ(window, 2u);
+        }
+
+        // Every k up to window + 3, on lengths with a tail for every
+        // vector width (8 and 16) and without; and the all-(q-1) worst
+        // case at the window edges.
+        struct Shape
+        {
+            size_t k, n;
+            bool extreme;
+        };
+        std::vector<Shape> shapes;
+        for (size_t k = 1; k <= window + 3; ++k) {
+            shapes.push_back({k, 37, false});
+            shapes.push_back({k, 64, false});
+        }
+        for (size_t k : {size_t{1}, size_t{2}, window, window + 1,
+                         window + 3, 2 * window + 1}) {
+            shapes.push_back({k, 1031, false});
+            shapes.push_back({k, 45, true});
+        }
+        for (const Shape &sh : shapes) {
+            std::vector<std::vector<u32>> a(sh.k);
+            std::vector<u32> w = sh.extreme ? std::vector<u32>(sh.k, q - 1)
+                                            : randomVec(rng, sh.k, q);
+            for (size_t t = 0; t < sh.k; ++t) {
+                a[t] = sh.extreme ? std::vector<u32>(sh.n, q - 1)
+                                  : randomVec(rng, sh.n, q);
+            }
+            const std::vector<u32> want =
+                testref::dotConstMontExact(a, w, q);
+            for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                             nt::SimdIsa::Avx512}) {
+                if (!nt::simdIsaAvailable(isa))
+                    continue;
+                IsaGuard g(isa);
+                EXPECT_EQ(runDotConstMont(a, w, mont, bar, window), want)
+                    << "dotConstMontVec [isa=" << nt::simdIsaName(isa)
+                    << " bits=" << bits << " k=" << sh.k
+                    << " n=" << sh.n << (sh.extreme ? " all q-1" : "")
+                    << "]";
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // NTT conformance: lazy + strict paths, single and batched, threaded
 // ---------------------------------------------------------------------

@@ -135,6 +135,28 @@ dotModExact(const std::vector<std::vector<u32>> &a,
 }
 
 std::vector<u32>
+dotConstMontExact(const std::vector<std::vector<u32>> &a,
+                  const std::vector<u32> &w, u64 q)
+{
+    internalCheck(!a.empty() && a.size() == w.size() && q % 2 == 1,
+                  "dotConstMontExact: bad operands");
+    // 2^-32 mod q = ((q + 1) / 2)^32 mod q.
+    const u128 half = (q + 1) / 2;
+    u128 r_inv = 1;
+    for (int i = 0; i < 32; ++i)
+        r_inv = r_inv * half % q;
+    const size_t n = a[0].size();
+    std::vector<u32> z(n);
+    for (size_t j = 0; j < n; ++j) {
+        u128 sum = 0;
+        for (size_t t = 0; t < a.size(); ++t)
+            sum += static_cast<u128>(a[t][j]) * w[t];
+        z[j] = static_cast<u32>(sum % q * r_inv % q);
+    }
+    return z;
+}
+
+std::vector<u32>
 randomPoly(u32 n, u64 q, u64 seed)
 {
     Rng rng(seed);

@@ -51,6 +51,14 @@ scaleRoundBigUInt(const rns::RnsBasis &basis, size_t q_count, u64 t,
 std::vector<u32> dotModExact(const std::vector<std::vector<u32>> &a,
                              const std::vector<std::vector<u32>> &b, u64 q);
 
+/**
+ * Exact Montgomery multiply-accumulate by constants mod an odd q: per
+ * coefficient j, the u128 sum of a[t][j] * w[t] over t, times 2^-32,
+ * mod q. Ground truth for nt::dotConstMontVec.
+ */
+std::vector<u32> dotConstMontExact(const std::vector<std::vector<u32>> &a,
+                                   const std::vector<u32> &w, u64 q);
+
 /** Deterministic uniform coefficient vector in [0, q)^n. */
 std::vector<u32> randomPoly(u32 n, u64 q, u64 seed);
 
